@@ -35,19 +35,21 @@ bench:
 # binary-codec benchmark must report exactly 0 allocs/op, or the pooled
 # wire encoder has regressed into per-send garbage. The Causal variant
 # holds the same line with Lamport piggybacking on the wire and the
-# flight recorder attached (DESIGN.md §17) — causal tracing is priced
-# into the gate, not exempted from it. The awk gate matches the names
-# with or without the GOMAXPROCS suffix (-N) and also fails if the
-# benchmarks never ran (compile error, -run filter typo).
+# flight recorder attached (DESIGN.md §17), and the Sinks variant with
+# the flight recorder and a telemetry hub both on the tracer's sink list
+# (DESIGN.md §12) — observers are priced into the gate, not exempted
+# from it. The awk gate matches the names with or without the
+# GOMAXPROCS suffix (-N) and also fails if the benchmarks never ran
+# (compile error, -run filter typo).
 bench-transport:
-	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal|Sinks)?$$' \
 		-benchmem -benchtime 5000x -count 3 . | tee /tmp/bench-transport.txt
 	@awk ' \
-		$$1 ~ /^BenchmarkTCPSendDistinctRanks(Causal)?(-[0-9]+)?$$/ { ran++; \
+		$$1 ~ /^BenchmarkTCPSendDistinctRanks(Causal|Sinks)?(-[0-9]+)?$$/ { ran++; \
 			if ($$7+0 != 0) { print "FAIL: " $$7 " allocs/op on the send hot path (want 0)"; bad=1 } } \
-		END { if (ran < 6) { print "FAIL: expected 6 benchmark runs, saw " ran; exit 1 }; exit bad } \
+		END { if (ran < 9) { print "FAIL: expected 9 benchmark runs, saw " ran; exit 1 }; exit bad } \
 	' /tmp/bench-transport.txt
-	@echo "bench-transport: 0 allocs/op held (plain and causal+flight)"
+	@echo "bench-transport: 0 allocs/op held (plain, causal+flight, flight+hub sinks)"
 
 # Aggregate benchmark evidence into one schema-stable artifact
 # (results/BENCH_summary.json, uploaded by CI): fresh runs of the
@@ -57,12 +59,12 @@ bench-transport:
 # rows so the artifact cannot disagree with the gate that admitted it.
 bench-all:
 	mkdir -p results
-	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal|Gob)?$$' \
+	$(GO) test -run '^$$' -bench '^BenchmarkTCPSendDistinctRanks(Causal|Sinks)?$$' \
 		-benchmem -benchtime 5000x -count 3 . | tee results/bench-transport.txt
 	$(GO) test -run '^$$' -bench '^BenchmarkLens(Disabled|Nil)$$' \
 		-benchmem -count 3 ./internal/swaprt/policylens/ | tee results/bench-lens.txt
 	$(GO) run ./cmd/benchagg -out results/BENCH_summary.json -docs 'BENCH_*.json' \
-		-zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal)?$$' \
+		-zero-alloc '^BenchmarkTCPSendDistinctRanks(Causal|Sinks)?$$' \
 		results/bench-transport.txt results/bench-lens.txt
 	@echo "bench-all: wrote results/BENCH_summary.json"
 

@@ -54,11 +54,12 @@ import (
 
 // meteredDecider wraps the local decider with registry counters so the
 // debug endpoint can report live decision activity, and with the
-// telemetry hub that aggregates the fleet view: Decide observes the
-// decision stream (verdicts, payback distances, latency) and Report
-// absorbs the per-rank telemetry snapshots piggybacked on handler
-// reports. It forwards Report so handler measurements still reach the
-// decider's history.
+// telemetry hub that aggregates the fleet view: Decide hands the hub
+// each decision as the same SwapDecision event the runtime emits
+// (verdict, payback distance, latency) plus the request's epoch and
+// active set, and Report absorbs the per-rank telemetry snapshots
+// piggybacked on handler reports. It forwards Report so handler
+// measurements still reach the decider's history.
 type meteredDecider struct {
 	inner     *swaprt.LocalDecider
 	hub       *swaprt.TelemetryHub // nil-safe
@@ -91,19 +92,14 @@ func (d *meteredDecider) Decide(req swaprt.DecideRequest) (swaprt.DecideResponse
 	d.decisions.Inc()
 	if err == nil {
 		d.swaps.Add(uint64(len(resp.Swaps)))
-		d.hub.ObserveDecision(req.Now, resp.Eval, len(resp.Swaps), dur.Seconds())
-		d.hub.ObserveEpoch(req.Epoch, req.ActiveSet)
+		ev := resp.DecisionEvent(req.Epoch, req.IterTime, req.SwapTime)
+		ev.Rank, ev.T, ev.Dur = obs.RankRuntime, req.Now, dur.Seconds()
+		d.hub.Observe(ev)
+		d.hub.SetActiveSet(req.Epoch, req.ActiveSet)
 		if d.lens.Enabled() {
-			in := core.DecideInput{IterTime: req.IterTime, SwapTime: req.SwapTime}
-			for i, r := range req.ActiveSet {
-				in.Active = append(in.Active, core.Candidate{ID: r, Rate: req.ActiveRates[i]})
-			}
-			for i, r := range req.SpareSet {
-				in.Spare = append(in.Spare, core.Candidate{ID: r, Rate: req.SpareRates[i]})
-			}
 			d.lens.ObserveIteration(req.Now, req.IterTime)
 			d.lens.ObserveDecision(policylens.Decision{
-				T: req.Now, Epoch: req.Epoch, Input: in, Eval: resp.Eval,
+				T: req.Now, Epoch: req.Epoch, Input: req.Input(), Eval: resp.Eval,
 				Swaps: len(resp.Swaps),
 			})
 		}

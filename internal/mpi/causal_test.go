@@ -88,13 +88,6 @@ func TestCausalWorldTCP(t *testing.T) {
 	assertCausalTrace(t, events, 10)
 }
 
-// TestCausalWorldTCPGob: a causal world on the gob codec interoperates —
-// the envelope fields ride gob's own encoding, no framing extension.
-func TestCausalWorldTCPGob(t *testing.T) {
-	events := causalPingPong(t, Config{Size: 2, Causal: true, TCP: true, Codec: CodecGob}, 3)
-	assertCausalTrace(t, events, 6)
-}
-
 // TestNonCausalWorldEmitsNoCausalEvents pins the default: without
 // Config.Causal no MsgSend/MsgRecv events and no causal fields appear,
 // keeping traces byte-identical to pre-causal runs.

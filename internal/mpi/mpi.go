@@ -9,7 +9,7 @@
 // inside private communicators carved out of an over-allocated world — so
 // this package implements them from scratch over two transports: an
 // in-process transport (goroutines and mailboxes) and a TCP transport
-// (one socket mesh, gob-framed), selectable per world.
+// (one socket mesh, binary-framed), selectable per world.
 package mpi
 
 import (
@@ -49,10 +49,6 @@ const (
 	// CodecBinary is the length-prefixed binary framing: zero
 	// allocations on the steady-state send path. The default.
 	CodecBinary = wire.CodecBinary
-	// CodecGob is the original gob stream, kept as a fallback codec.
-	// Gob and binary worlds interoperate: the codec is negotiated per
-	// connection by a one-byte stream preamble.
-	CodecGob = wire.CodecGob
 	// CodecCausal is the binary framing plus the optional causal
 	// extension (Lamport clock + send sequence) on each frame. Selected
 	// automatically by Config.Causal on binary TCP worlds.
@@ -319,10 +315,9 @@ type Config struct {
 	// one.
 	TCP bool
 	// Codec selects the TCP transport's wire encoding: CodecBinary
-	// (zero means binary, the default) or CodecGob for the fallback gob
-	// stream. Ignored for in-process worlds. Worlds with different
-	// codecs interoperate; each connection's codec is negotiated by its
-	// stream preamble.
+	// (zero means binary, the default) or CodecCausal. Ignored for
+	// in-process worlds. Worlds with different codecs interoperate; each
+	// connection's codec is negotiated by its stream preamble.
 	Codec wire.Codec
 	// Fault, when non-nil, wraps the transport so every send consults the
 	// injector first. Injected faults are counted under "mpi.fault.*" and
@@ -340,7 +335,7 @@ type Config struct {
 	// tracer attached — MsgSend/MsgRecv events record the happens-before
 	// edges. On binary TCP worlds this upgrades the codec to CodecCausal
 	// (preamble-negotiated, so causal and non-causal worlds still
-	// interoperate); gob worlds carry the context as envelope fields.
+	// interoperate).
 	Causal bool
 }
 
@@ -356,7 +351,7 @@ func NewWorldWithConfig(cfg Config) (*World, error) {
 		codec = wire.CodecBinary
 	}
 	if !codec.Valid() {
-		return nil, fmt.Errorf("mpi: unknown codec %q (want CodecBinary, CodecGob or CodecCausal)", codec)
+		return nil, fmt.Errorf("mpi: unknown codec %q (want CodecBinary or CodecCausal)", codec)
 	}
 	if cfg.Causal && codec == wire.CodecBinary {
 		codec = wire.CodecCausal

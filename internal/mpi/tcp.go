@@ -71,7 +71,7 @@ func (cc *tcpConn) reset() {
 // per rank, a lazily dialed per-destination connection on the sender
 // side, and one reader goroutine per accepted connection. Each
 // connection is a one-directional stream of envelopes framed by the
-// wire package: a one-byte codec preamble ('B' binary, 'G' gob), then
+// wire package: a one-byte codec preamble ('B' binary, 'C' causal), then
 // frames in that codec, so mixed-codec meshes interoperate.
 //
 // Locking: per-destination tcpConn.mu serializes enqueues to that rank

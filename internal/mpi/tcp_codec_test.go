@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -13,48 +12,21 @@ import (
 	"repro/internal/mpi/wire"
 )
 
-// TestTCPGobCodecWorld runs point-to-point and collective traffic over
-// the fallback gob codec: the codec seam must not change semantics.
-func TestTCPGobCodecWorld(t *testing.T) {
-	w, err := NewWorldWithConfig(Config{Size: 3, TCP: true, Codec: CodecGob})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = w.Run(func(r *Rank) error {
-		c := r.World()
-		got, err := c.Bcast(0, []byte("over gob"))
-		if err != nil {
-			return err
-		}
-		if string(got) != "over gob" {
-			return fmt.Errorf("bcast got %q", got)
-		}
-		sum, err := c.AllReduceFloat64(OpSum, float64(r.Rank()))
-		if err != nil {
-			return err
-		}
-		if sum != 3 {
-			return fmt.Errorf("allreduce sum = %v, want 3", sum)
-		}
-		return c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestTCPUnknownCodecRejected pins Config validation: an unknown codec
 // byte must fail world construction, not surface as garbled streams.
+// 'G' named the retired gob codec and is now just another unknown byte.
 func TestTCPUnknownCodecRejected(t *testing.T) {
-	if _, err := NewWorldWithConfig(Config{Size: 2, TCP: true, Codec: wire.Codec('Z')}); err == nil {
-		t.Fatal("unknown codec accepted")
+	for _, codec := range []wire.Codec{'Z', 'G'} {
+		if _, err := NewWorldWithConfig(Config{Size: 2, TCP: true, Codec: codec}); err == nil {
+			t.Fatalf("unknown codec %q accepted", byte(codec))
+		}
 	}
 }
 
 // TestTCPMixedCodecMesh proves per-connection codec negotiation: a raw
-// gob sender delivers into a binary-codec world and a raw binary sender
-// delivers into a gob-codec world, because the receiver picks its
-// decoder from each stream's one-byte preamble, not from its own
+// causal sender delivers into a binary-codec world and a raw binary
+// sender delivers into a causal-codec world, because the receiver picks
+// its decoder from each stream's one-byte preamble, not from its own
 // configured codec.
 func TestTCPMixedCodecMesh(t *testing.T) {
 	cases := []struct {
@@ -62,8 +34,8 @@ func TestTCPMixedCodecMesh(t *testing.T) {
 		codec    wire.Codec // the receiving world's configured codec
 		preamble byte       // the foreign sender's stream codec
 	}{
-		{"gob sender into binary world", CodecBinary, 'G'},
-		{"binary sender into gob world", CodecGob, 'B'},
+		{"causal sender into binary world", CodecBinary, 'C'},
+		{"binary sender into causal world", CodecCausal, 'B'},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -78,20 +50,13 @@ func TestTCPMixedCodecMesh(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer conn.Close()
-			env := envelope{Comm: worldCommID, Src: 0, Dst: 1, Tag: 5, Data: []byte("cross-codec")}
-			switch tc.preamble {
-			case 'G':
-				if _, err := conn.Write([]byte{'G'}); err != nil {
-					t.Fatal(err)
-				}
-				if err := gob.NewEncoder(conn).Encode(env); err != nil {
-					t.Fatal(err)
-				}
-			case 'B':
-				frame := wire.AppendFrame([]byte{'B'}, &env)
-				if _, err := conn.Write(frame); err != nil {
-					t.Fatal(err)
-				}
+			env := envelope{Comm: worldCommID, Src: 0, Dst: 1, Tag: 5, Data: []byte("cross-codec"), LC: 3, Seq: 1}
+			frame := wire.AppendFrame([]byte{'B'}, &env)
+			if tc.preamble == 'C' {
+				frame = wire.AppendCausalFrame([]byte{'C'}, &env)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
 			}
 			got, err := w.boxes[1].popDeadline(w.clk, worldCommID, 0, 5, time.Now().Add(2*time.Second))
 			if err != nil {
@@ -242,9 +207,9 @@ func TestTCPCloseUnblocksDialRetryStorm(t *testing.T) {
 
 // TestTCPFaultInjectionOverBothCodecs pins the chaos layer's
 // codec-independence: verdicts are applied above the transport, so drop
-// and error rules behave identically over binary and gob framing.
+// and error rules behave identically over binary and causal framing.
 func TestTCPFaultInjectionOverBothCodecs(t *testing.T) {
-	for _, codec := range []wire.Codec{CodecBinary, CodecGob} {
+	for _, codec := range []wire.Codec{CodecBinary, CodecCausal} {
 		t.Run(codec.String(), func(t *testing.T) {
 			inj := &stubInjector{verdicts: map[[2]int]FaultVerdict{
 				{0, 1}: {Drop: true, Detail: "eat 0->1"},

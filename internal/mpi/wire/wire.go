@@ -1,14 +1,12 @@
 // Package wire is the TCP transport's framing layer: a hand-rolled,
 // allocation-free binary encoding of the one fixed message shape the
-// mesh carries (Envelope), with the original gob stream retained as a
-// fallback codec behind the same Encoder/Decoder seam.
+// mesh carries (Envelope).
 //
 // Stream layout: one preamble byte declaring the sender's codec
-// ('B' binary, 'G' gob, 'C' binary+causal), then back-to-back frames in
-// that codec for the connection's lifetime. The receiver negotiates by
-// reading the preamble, so a mesh may mix senders using different
-// codecs — including causal senders talking to the same decoder as
-// plain-binary or gob ones.
+// ('B' binary, 'C' binary+causal), then back-to-back frames in that
+// codec for the connection's lifetime. The receiver negotiates by
+// reading the preamble, so a mesh may mix causal and plain-binary
+// senders talking to the same decoder.
 //
 // Binary frame (big-endian, 24-byte header):
 //
@@ -44,7 +42,6 @@ package wire
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"sync"
@@ -61,9 +58,7 @@ type Envelope struct {
 
 	// Causal piggyback (Lamport clock + send sequence of Src). Zero
 	// means "no causal data": Lamport clocks start at 1, so LC == 0 is
-	// the presence flag. The binary codec only ships these on 'C'
-	// streams; gob carries them as ordinary fields (absent fields decode
-	// to zero, so old gob peers interoperate).
+	// the presence flag. Only 'C' streams ship these.
 	LC  uint64
 	Seq uint64
 }
@@ -75,22 +70,18 @@ type Codec byte
 const (
 	// CodecBinary is the length-prefixed binary framing (the default).
 	CodecBinary Codec = 'B'
-	// CodecGob is the fallback gob stream of Envelope values.
-	CodecGob Codec = 'G'
 	// CodecCausal is the binary framing plus the optional per-frame
 	// causal extension (Lamport clock + send sequence).
 	CodecCausal Codec = 'C'
 )
 
 // Valid reports whether c names a known codec.
-func (c Codec) Valid() bool { return c == CodecBinary || c == CodecGob || c == CodecCausal }
+func (c Codec) Valid() bool { return c == CodecBinary || c == CodecCausal }
 
 func (c Codec) String() string {
 	switch c {
 	case CodecBinary:
 		return "binary"
-	case CodecGob:
-		return "gob"
 	case CodecCausal:
 		return "binary+causal"
 	}
@@ -180,9 +171,6 @@ type Encoder struct {
 	codec Codec
 	pend  []byte // frames waiting to be flushed (starts with the preamble)
 	spare []byte // recycled flush buffer, reused by the next Take
-
-	genc    *gob.Encoder
-	scratch Envelope // gob staging; keeps Encode's *Envelope from escaping
 }
 
 // NewEncoder returns an encoder for the given codec with the stream
@@ -191,39 +179,14 @@ type Encoder struct {
 func NewEncoder(codec Codec) *Encoder {
 	e := &Encoder{codec: codec, pend: getBuf()}
 	e.pend = append(e.pend, byte(codec))
-	if codec == CodecGob {
-		e.genc = gob.NewEncoder(pendWriter{e})
-	}
 	return e
 }
 
-// pendWriter adapts the encoder's pending buffer to io.Writer for the
-// gob fallback; gob's internal writes land in the same pending buffer
-// the binary codec appends to, so the flush path is codec-agnostic.
-type pendWriter struct{ e *Encoder }
-
-func (w pendWriter) Write(p []byte) (int, error) {
-	w.e.pend = append(w.e.pend, p...)
-	return len(p), nil
-}
-
-// Codec reports the stream's codec.
-func (e *Encoder) Codec() Codec { return e.codec }
-
-// Encode appends env's encoding to the pending buffer. The binary path
-// allocates nothing beyond (amortized) buffer growth.
+// Encode appends env's encoding to the pending buffer. It allocates
+// nothing beyond (amortized) buffer growth.
 func (e *Encoder) Encode(env *Envelope) error {
 	if len(env.Data) > MaxPayload {
 		return fmt.Errorf("wire: payload %d bytes exceeds MaxPayload %d", len(env.Data), MaxPayload)
-	}
-	if e.codec == CodecGob {
-		// Stage through a field so env itself does not leak into the
-		// gob interface (which would heap-allocate every caller's
-		// envelope, on the binary path too).
-		e.scratch = *env
-		err := e.genc.Encode(&e.scratch)
-		e.scratch.Data = nil
-		return err
 	}
 	if e.codec == CodecCausal {
 		e.pend = AppendCausalFrame(e.pend, env)
@@ -279,11 +242,9 @@ type Decoder struct {
 	codec   Codec
 	started bool
 
-	gdec    *gob.Decoder
-	scratch Envelope // gob staging; keeps Decode's *Envelope from escaping
-
 	slab []byte // arena for small payloads: one allocation serves many frames
 	hdr  [headerLen]byte
+	ext  [causalExtLen]byte // a field: as a local, io.ReadFull moves it to the heap
 }
 
 const (
@@ -320,22 +281,10 @@ func (d *Decoder) Decode(env *Envelope) error {
 		}
 		c := Codec(b)
 		if !c.Valid() {
-			return fmt.Errorf("wire: unknown codec preamble 0x%02x (want 'B', 'G' or 'C')", b)
-		}
-		if c == CodecGob {
-			d.gdec = gob.NewDecoder(d.br)
+			return fmt.Errorf("wire: unknown codec preamble 0x%02x (want 'B' or 'C')", b)
 		}
 		d.codec = c
 		d.started = true
-	}
-	if d.codec == CodecGob {
-		d.scratch = Envelope{}
-		if err := d.gdec.Decode(&d.scratch); err != nil {
-			return err
-		}
-		*env = d.scratch
-		d.scratch.Data = nil
-		return nil
 	}
 	if _, err := io.ReadFull(d.br, d.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -361,15 +310,14 @@ func (d *Decoder) Decode(env *Envelope) error {
 	env.Tag = int(int32(binary.BigEndian.Uint32(d.hdr[20:24])))
 	env.LC, env.Seq = 0, 0
 	if causal {
-		var ext [causalExtLen]byte
-		if _, err := io.ReadFull(d.br, ext[:]); err != nil {
+		if _, err := io.ReadFull(d.br, d.ext[:]); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return fmt.Errorf("wire: truncated causal extension: %w", err)
 		}
-		env.LC = binary.BigEndian.Uint64(ext[0:8])
-		env.Seq = binary.BigEndian.Uint64(ext[8:16])
+		env.LC = binary.BigEndian.Uint64(d.ext[0:8])
+		env.Seq = binary.BigEndian.Uint64(d.ext[8:16])
 	}
 	if n == 0 {
 		env.Data = nil

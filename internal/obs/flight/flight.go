@@ -84,9 +84,9 @@ type Status struct {
 	Dir      string
 }
 
-// Recorder implements obs.EventSink. It is safe for concurrent use by
-// every rank goroutine; a disabled recorder (see Disable) drops events
-// after one atomic load.
+// Recorder implements obs.EventSink and obs.Dumper. It is safe for
+// concurrent use by every rank goroutine; a disabled recorder (see
+// Disable) drops events after one atomic load.
 type Recorder struct {
 	enabled atomic.Bool
 	dir     string
@@ -215,4 +215,4 @@ func (r *Recorder) Dump(reason string) error {
 	return firstErr
 }
 
-var _ obs.EventSink = (*Recorder)(nil)
+var _ obs.Dumper = (*Recorder)(nil)

@@ -140,7 +140,7 @@ func TestTracerSinkIntegration(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("tracer enabled before sink attach")
 	}
-	tr.AttachSink(rec)
+	detach := tr.AttachSink(rec)
 	if !tr.Enabled() {
 		t.Fatal("sink-only tracer must report Enabled so emit sites construct events")
 	}
@@ -160,7 +160,7 @@ func TestTracerSinkIntegration(t *testing.T) {
 		t.Fatalf("dump missing reason: %s", data)
 	}
 	// Detach: Enabled drops back, DumpFlight becomes a no-op.
-	tr.AttachSink(nil)
+	detach()
 	if tr.Enabled() {
 		t.Fatal("tracer still enabled after sink detach")
 	}

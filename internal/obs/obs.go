@@ -19,6 +19,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -110,6 +111,10 @@ const (
 	// after the earlier kinds so the numeric JSONL encoding of existing
 	// traces is unchanged.
 	KindShadowDecision
+	// KindSwapCommit is one committed swap directive, emitted once by the
+	// leader (Rank = out, Peer = in, Epoch = the epoch it established).
+	// Appended last so existing JSONL encodings are unchanged.
+	KindSwapCommit
 )
 
 var kindNames = [...]string{
@@ -136,6 +141,7 @@ var kindNames = [...]string{
 
 	KindPaybackRealized: "PaybackRealized",
 	KindShadowDecision:  "ShadowDecision",
+	KindSwapCommit:      "SwapCommit",
 }
 
 // String implements fmt.Stringer.
@@ -231,11 +237,11 @@ func (rl *rankLog) snapshot() []Event {
 	return append(out, rl.cur...)
 }
 
-// Tracer records typed events into per-rank buffers. All methods are
-// nil-safe: a nil *Tracer is a valid "tracing off" tracer, so call sites
-// never branch on configuration. A non-nil tracer still records nothing
-// until Enable is called; Enabled() is the one-atomic-load hot-path
-// guard.
+// Tracer records typed events into per-rank buffers and fans every
+// event out to a list of attached sinks. All methods are nil-safe: a nil
+// *Tracer is a valid "tracing off" tracer, so call sites never branch on
+// configuration. A non-nil tracer buffers nothing until Enable is
+// called; Enabled() is the hot-path guard.
 type Tracer struct {
 	enabled atomic.Bool
 	clock   func() float64
@@ -243,22 +249,29 @@ type Tracer struct {
 	runtime *rankLog // events with Rank < 0 or >= len(ranks)
 	only    []bool   // nil = record every rank; else per-rank filter
 	limit   int      // max buffered events per rank; <=0 = unbounded
-	sink    atomic.Pointer[sinkBox]
+
+	// sinks is the fan-out list (nil = none), copied on write under
+	// sinkMu so Emit walks a fixed snapshot after one atomic load. Each
+	// attachment is its own pointer, which is what detach removes.
+	sinks  atomic.Pointer[[]*EventSink]
+	sinkMu sync.Mutex
 }
 
 // EventSink observes every emitted event independently of the tracer's
-// own buffering. It is the seam the flight recorder
-// (internal/obs/flight) plugs into: attaching a sink makes Enabled()
-// true so emit sites construct events even when full-trace buffering is
-// off, and Observe must therefore be cheap and allocation-free on the
-// hot path. Dump is invoked by DumpFlight on crash-adjacent triggers.
+// own buffering. The flight recorder (internal/obs/flight), the swap
+// runtime's RunStats counters and its telemetry hub are sinks, and so is
+// a Tracer itself. Attaching a sink makes Enabled() true so emit sites
+// construct events even when buffering is off; Observe must therefore be
+// cheap and allocation-free on the hot path.
 type EventSink interface {
 	Observe(Event)
-	Dump(reason string) error
 }
 
-// sinkBox wraps the interface so it can live in an atomic.Pointer.
-type sinkBox struct{ s EventSink }
+// Dumper is a sink that can persist its recent-event window. DumpFlight
+// calls Dump on every attached sink that implements it.
+type Dumper interface {
+	Dump(reason string) error
+}
 
 // Option configures a Tracer.
 type Option func(*Tracer)
@@ -325,35 +338,65 @@ func (t *Tracer) Disable() {
 // own buffers or by an attached sink. This is the hot-path guard: a nil
 // check plus two atomic loads.
 func (t *Tracer) Enabled() bool {
-	return t != nil && (t.enabled.Load() || t.sink.Load() != nil)
+	return t != nil && (t.enabled.Load() || t.sinks.Load() != nil)
 }
 
-// AttachSink routes every subsequent Emit through s in addition to (and
-// independently of) the tracer's own buffering; attach a nil sink to
-// detach. Nil-safe no-op.
-func (t *Tracer) AttachSink(s EventSink) {
-	if t == nil {
-		return
+// AttachSink appends s to the fan-out list, so every later Emit reaches
+// it after the sinks attached before it. The returned detach removes
+// this attachment and is idempotent. A nil sink or tracer is a no-op.
+func (t *Tracer) AttachSink(s EventSink) (detach func()) {
+	if t == nil || s == nil {
+		return func() {}
 	}
-	if s == nil {
-		t.sink.Store(nil)
-		return
+	entry := &s
+	t.editSinks(func(list []*EventSink) []*EventSink { return append(list, entry) })
+	return func() {
+		t.editSinks(func(list []*EventSink) []*EventSink {
+			return slices.DeleteFunc(list, func(e *EventSink) bool { return e == entry })
+		})
 	}
-	t.sink.Store(&sinkBox{s: s})
 }
 
-// DumpFlight asks the attached sink to persist its recent-event window,
-// tagging the dump with reason. It is nil-safe and a no-op without a
-// sink, so crash-adjacent call sites (swap abort, quarantine, panic,
-// world close) never need configuration guards. The sink's own error
-// handling applies; DumpFlight never fails the caller.
+// editSinks stores edit's result on a copy of the sink list.
+func (t *Tracer) editSinks(edit func([]*EventSink) []*EventSink) {
+	t.sinkMu.Lock()
+	defer t.sinkMu.Unlock()
+	var list []*EventSink
+	if old := t.sinks.Load(); old != nil {
+		list = slices.Clone(*old)
+	}
+	if list = edit(list); len(list) == 0 {
+		t.sinks.Store(nil)
+	} else {
+		t.sinks.Store(&list)
+	}
+}
+
+// DumpFlight asks every attached Dumper to persist its recent-event
+// window, tagging the dump with reason. It is nil-safe and a no-op
+// without one, so crash-adjacent call sites (swap abort, quarantine,
+// panic, world close) never need configuration guards. Each sink's own
+// error handling applies; DumpFlight never fails the caller.
 func (t *Tracer) DumpFlight(reason string) {
 	if t == nil {
 		return
 	}
-	if box := t.sink.Load(); box != nil {
-		_ = box.s.Dump(reason)
+	if list := t.sinks.Load(); list != nil {
+		for _, e := range *list {
+			if d, ok := (*e).(Dumper); ok {
+				_ = d.Dump(reason)
+			}
+		}
 	}
+}
+
+// Observe makes a Tracer an EventSink, so one tracer can feed another.
+func (t *Tracer) Observe(ev Event) { t.Emit(ev) }
+
+// Dump makes a Tracer a Dumper that forwards to DumpFlight.
+func (t *Tracer) Dump(reason string) error {
+	t.DumpFlight(reason)
+	return nil
 }
 
 // Now reads the tracer clock (0 on a nil tracer). For duration events,
@@ -381,8 +424,10 @@ func (t *Tracer) Emit(ev Event) {
 	if t == nil {
 		return
 	}
-	if box := t.sink.Load(); box != nil {
-		box.s.Observe(ev)
+	if list := t.sinks.Load(); list != nil {
+		for _, e := range *list {
+			(*e).Observe(ev)
+		}
 	}
 	if !t.enabled.Load() {
 		return

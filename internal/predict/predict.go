@@ -93,6 +93,14 @@ func (h *History) PruneBefore(t float64) {
 	}
 }
 
+// KeepLatest discards every sample but the newest, for consumers that
+// only ever read Latest.
+func (h *History) KeepLatest() {
+	if n := len(h.samples); n > 1 {
+		h.samples = append(h.samples[:0], h.samples[n-1])
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Rate estimators for the simulator.
 

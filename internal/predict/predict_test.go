@@ -83,6 +83,10 @@ func TestHistoryPrune(t *testing.T) {
 	if s, _ := h.Latest(); s.T != 9 {
 		t.Fatalf("latest after prune = %v", s)
 	}
+	h.KeepLatest()
+	if s, _ := h.Latest(); h.Len() != 1 || s.T != 9 {
+		t.Fatalf("KeepLatest left %d samples, latest %v", h.Len(), s)
+	}
 }
 
 func TestHistoryWindowExcludesFuture(t *testing.T) {

@@ -294,7 +294,12 @@ func TestHandlersReportToRemoteManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	server := NewLocalDecider(core.Greedy())
+	// A history window keeps every report in the server's history (the
+	// run spans far less than it); without one only the latest sample
+	// per rank is kept.
+	pol := core.Greedy()
+	pol.HistoryWindow = 60
+	server := NewLocalDecider(pol)
 	go func() { _ = ServeManager(ln, server, nil) }()
 
 	w := mpi.NewWorld(2)

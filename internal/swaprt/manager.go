@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/swaprt/policylens"
 )
@@ -21,6 +22,19 @@ type DecideRequest struct {
 	SwapTime    float64   `json:"swap_time"` // predicted cost of one swap
 }
 
+// Input is the core.DecideInput the request describes, with the raw
+// measured rates (no history smoothing).
+func (req DecideRequest) Input() core.DecideInput {
+	in := core.DecideInput{IterTime: req.IterTime, SwapTime: req.SwapTime}
+	for i, r := range req.ActiveSet {
+		in.Active = append(in.Active, core.Candidate{ID: r, Rate: req.ActiveRates[i]})
+	}
+	for i, r := range req.SpareSet {
+		in.Spare = append(in.Spare, core.Candidate{ID: r, Rate: req.SpareRates[i]})
+	}
+	return in
+}
+
 // SwapDirective orders the process on Out's host to move to In's host
 // (world ranks).
 type SwapDirective struct {
@@ -35,6 +49,21 @@ type SwapDirective struct {
 type DecideResponse struct {
 	Swaps []SwapDirective   `json:"swaps"`
 	Eval  *core.Explanation `json:"eval,omitempty"`
+}
+
+// DecisionEvent is the KindSwapDecision event for this response to a
+// decision taken in epoch: Eval's verdict and payback algebra, or a bare
+// swap/stay verdict without one. The caller stamps Rank, T and Dur.
+func (resp DecideResponse) DecisionEvent(epoch uint64, iterTime, swapTime float64) obs.Event {
+	ev := obs.Event{Kind: obs.KindSwapDecision, IterTime: iterTime, SwapTime: swapTime,
+		Swaps: len(resp.Swaps), Epoch: epoch, Verdict: "stay"}
+	if e := resp.Eval; e != nil {
+		ev.OldPerf, ev.NewPerf, ev.Payback = e.OldPerf, e.NewPerf, e.Payback
+		ev.Verdict, ev.Reason = e.Verdict, e.Reason
+	} else if len(resp.Swaps) > 0 {
+		ev.Verdict = "swap"
+	}
+	return ev
 }
 
 // Decider is the swap manager's decision core. Implementations must be
@@ -92,7 +121,9 @@ func (d *LocalDecider) Report(r ReportMsg) error {
 
 // record appends a measurement (out-of-order times are clamped: handler
 // and swap-point clocks may interleave) and returns the window-mean
-// estimate under the policy's history window.
+// estimate under the policy's history window. Times only move forward, so
+// samples older than now minus the window are never read again and are
+// pruned; without a window only the latest (the clamp reference) is kept.
 func (d *LocalDecider) record(rank int, now, rate float64) float64 {
 	h := d.hist[rank]
 	if h == nil {
@@ -103,10 +134,14 @@ func (d *LocalDecider) record(rank int, now, rate float64) float64 {
 		now = s.T
 	}
 	h.Add(now, rate)
-	if w := d.Policy.HistoryWindow; w > 0 {
-		if m := h.WindowMean(now, w); m > 0 {
-			return m
-		}
+	w := d.Policy.HistoryWindow
+	if w <= 0 {
+		h.KeepLatest()
+		return rate
+	}
+	h.PruneBefore(now - w)
+	if m := h.WindowMean(now, w); m > 0 {
+		return m
 	}
 	return rate
 }
@@ -119,26 +154,16 @@ func (d *LocalDecider) Decide(req DecideRequest) (DecideResponse, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 
-	record := func(rank int, rate float64) float64 {
-		return d.record(rank, req.Now, rate)
-	}
-
-	var active, spare []core.Candidate
-	for i, rank := range req.ActiveSet {
-		active = append(active, core.Candidate{ID: rank, Rate: record(rank, req.ActiveRates[i])})
-	}
-	for i, rank := range req.SpareSet {
-		spare = append(spare, core.Candidate{ID: rank, Rate: record(rank, req.SpareRates[i])})
+	in := req.Input()
+	for _, cands := range [][]core.Candidate{in.Active, in.Spare} {
+		for i := range cands {
+			cands[i].Rate = d.record(cands[i].ID, req.Now, cands[i].Rate)
+		}
 	}
 	if req.IterTime <= 0 {
 		return DecideResponse{}, nil
 	}
-	pairs, eval := d.Policy.DecideExplained(core.DecideInput{
-		Active:   active,
-		Spare:    spare,
-		IterTime: req.IterTime,
-		SwapTime: req.SwapTime,
-	})
+	pairs, eval := d.Policy.DecideExplained(in)
 	resp := DecideResponse{Eval: &eval}
 	for _, p := range pairs {
 		resp.Swaps = append(resp.Swaps, SwapDirective{Out: p.Out.ID, In: p.In.ID})
@@ -332,23 +357,10 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 	if m.cfg.Lens.Enabled() {
 		m.cfg.Lens.ObserveIteration(now, iterTime)
 		m.cfg.Lens.ObserveDecision(policylens.Decision{
-			T: now, Epoch: epoch, Input: lensInput(req), Eval: resp.Eval,
+			T: now, Epoch: epoch, Input: req.Input(), Eval: resp.Eval,
 			Swaps: len(resp.Swaps),
 		})
 	}
 	resp.Swaps = append(forced, resp.Swaps...)
 	return resp, nil
-}
-
-// lensInput rebuilds the core.DecideInput a DecideRequest describes, so
-// the policy lens can replay shadow policies over it.
-func lensInput(req DecideRequest) core.DecideInput {
-	in := core.DecideInput{IterTime: req.IterTime, SwapTime: req.SwapTime}
-	for i, r := range req.ActiveSet {
-		in.Active = append(in.Active, core.Candidate{ID: r, Rate: req.ActiveRates[i]})
-	}
-	for i, r := range req.SpareSet {
-		in.Spare = append(in.Spare, core.Candidate{ID: r, Rate: req.SpareRates[i]})
-	}
-	return in
 }

@@ -6,6 +6,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"strings"
 	"time"
 
 	"repro/internal/clock"
@@ -56,8 +58,9 @@ type Config struct {
 	// timeline. Injectable for tests.
 	Clock func() float64
 	// Time is the scheduling clock behind every wait and duration in the
-	// runtime: transfer/commit deadlines, the handler ticker, decide
-	// timing. Inject a clock.Fake to make tests deterministic or a
+	// runtime: transfer/commit deadlines, the handler ticker, and the
+	// event durations RunStats sums (on Tracer's clock when Tracer is
+	// set). Inject a clock.Fake to make tests deterministic or a
 	// clock.NewScaled to time-accelerate a live run (swaprun -accel);
 	// nil means clock.Real. It should match the world's mpi.Config.Clock
 	// so the runtime and the transport share one timeline.
@@ -89,15 +92,16 @@ type Config struct {
 	Evicted func(worldRank int) bool
 	// Tracer, when set, receives structured runtime events (iterations,
 	// swap decisions with the full payback algebra, state transfers,
-	// manager assignments, handler probes) and is attached to the world so
-	// MPI operations trace too. Nil (the default) records nothing; a set
-	// but disabled tracer costs one atomic load per emit site.
+	// commits, manager assignments, handler probes) on its own clock and
+	// is attached to the world so MPI operations trace too. Nil (the
+	// default) traces nothing, MPI operations included.
 	Tracer *obs.Tracer
-	// Telemetry, when set, receives live windowed telemetry (iteration
-	// times with slowdown detection, probe rates, decision paybacks,
-	// quarantine and epoch state) and piggybacks per-rank snapshots on the
-	// swap handlers' periodic reports. Nil (the default) records nothing;
-	// a set but disabled hub costs one atomic load per observation.
+	// Telemetry, when set, derives live windowed telemetry from the run's
+	// events (iteration times with slowdown detection, probe rates,
+	// decision paybacks, quarantine and epoch state) and piggybacks
+	// per-rank snapshots on the swap handlers' periodic reports. Nil (the
+	// default) records nothing; a set but disabled hub costs one atomic
+	// load per event.
 	Telemetry *TelemetryHub
 
 	// Lens, when set, audits the leader's swap decisions online: it
@@ -172,9 +176,9 @@ func (rs RunStats) String() string {
 		rs.StateRecvTime.Round(time.Microsecond), rs.MPI)
 }
 
-// runCounters holds the runtime's metric handles in the world's registry
-// ("swaprt.*"); RunStats is snapshotted from them, so the same numbers
-// are live on expvar during the run and in the returned stats after it.
+// runCounters is the event sink behind the runtime's "swaprt.*" counters
+// in the world's registry; RunStats is snapshotted from them, so the same
+// numbers are live on expvar during the run and in the returned stats.
 type runCounters struct {
 	swapPoints          *obs.Counter
 	swaps               *obs.Counter
@@ -203,6 +207,63 @@ func newRunCounters(reg *obs.Registry) *runCounters {
 	}
 }
 
+// reportFailed prefixes the Detail of a HandlerProbe event whose report
+// the decider rejected.
+const reportFailed = "report-failed: "
+
+// Observe implements obs.EventSink; durations are the events' Dur.
+func (rc *runCounters) Observe(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindIterEnd: // one per active rank's swap point
+		rc.swapPoints.Inc()
+	case obs.KindSwapDecision:
+		rc.decisions.Inc()
+		rc.decideNS.Add(uint64(duration(ev.Dur)))
+	case obs.KindStateTransfer:
+		if ev.Detail == "out" {
+			rc.stateBytes.Add(uint64(ev.Bytes))
+			rc.stateSendNS.Add(uint64(duration(ev.Dur)))
+		} else {
+			rc.stateRecvNS.Add(uint64(duration(ev.Dur)))
+		}
+	case obs.KindSwapCommit:
+		rc.swaps.Inc()
+	case obs.KindQuarantine: // the leader quarantines every aborted swap's spare
+		rc.swapAborts.Inc()
+		rc.quarantined.Inc()
+	case obs.KindHandlerProbe:
+		if strings.HasPrefix(ev.Detail, reportFailed) {
+			rc.handlerReportErrors.Inc()
+		}
+	}
+}
+
+// duration converts event seconds to a Duration, rounded to the
+// nanosecond.
+func duration(sec float64) time.Duration {
+	return time.Duration(math.Round(sec * float64(time.Second)))
+}
+
+// runTracer builds the run's event stream, which buffers nothing and fans
+// out to Config.Tracer, the RunStats counters and the hub. It is never set
+// on the world, so MPI operations emit only when Config.Tracer is set.
+// Events carry Config.Tracer's clock when there is one, else Config.Time's.
+func runTracer(cfg Config, rc *runCounters) *obs.Tracer {
+	clk := clock.Seconds(cfg.Time)
+	if cfg.Tracer != nil {
+		clk = cfg.Tracer.Now
+	}
+	tr := obs.New(0, obs.WithClock(clk))
+	if cfg.Tracer != nil {
+		tr.AttachSink(cfg.Tracer)
+	}
+	tr.AttachSink(rc)
+	if cfg.Telemetry != nil {
+		tr.AttachSink(cfg.Telemetry)
+	}
+	return tr
+}
+
 // snapshot builds the typed RunStats view over the counters.
 func (rc *runCounters) snapshot() RunStats {
 	return RunStats{
@@ -222,11 +283,10 @@ func (rc *runCounters) snapshot() RunStats {
 // Session is one rank's handle on the swapping runtime. All methods must
 // be called from the rank's own goroutine (inside the Run body).
 type Session struct {
-	r     *mpi.Rank
-	cfg   Config
-	mgr   *manager
-	stats *runCounters
-	tr    *obs.Tracer // == cfg.Tracer; nil-safe
+	r   *mpi.Rank
+	cfg Config
+	mgr *manager
+	tr  *obs.Tracer // the run's event stream (runTracer); nil-safe
 
 	state     *stateSet
 	active    bool
@@ -322,6 +382,7 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 	cfg.Telemetry.AttachTracer(cfg.Tracer)
 
 	rc := newRunCounters(world.Metrics())
+	tr := runTracer(cfg, rc)
 
 	// Swap handlers: periodic out-of-band probing, one per rank. If the
 	// decider cannot accept reports, skip the handler machinery entirely —
@@ -334,7 +395,7 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 			stop := make(chan struct{})
 			defer close(stop)
 			for rank := 0; rank < world.Size(); rank++ {
-				go handlerLoop(rank, cfg, rep, rc, stop)
+				go handlerLoop(rank, cfg, tr, rep, stop)
 			}
 		}
 	}
@@ -343,14 +404,13 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 	for i := range initial {
 		initial[i] = i
 	}
-	cfg.Telemetry.ObserveEpoch(0, initial)
+	cfg.Telemetry.SetActiveSet(0, initial)
 	err := world.Run(func(r *mpi.Rank) error {
 		s := &Session{
 			r:           r,
 			cfg:         cfg,
 			mgr:         mgr,
-			stats:       rc,
-			tr:          cfg.Tracer,
+			tr:          tr,
 			state:       newStateSet(),
 			activeSet:   append([]int(nil), initial...),
 			iterStart:   cfg.Clock(),
@@ -425,15 +485,11 @@ func (s *Session) swapPointSpare() error {
 // or explicit abort returns (false, nil) so the spare parks again.
 func (s *Session) spareSwapIn(a assignment) (bool, error) {
 	world := s.r.World()
-	var t0 float64
-	if s.tr.Enabled() {
-		t0 = s.tr.Now()
-	}
-	start := s.cfg.Time.Now()
+	t0 := s.tr.Now()
 
 	// Receive the proposed-epoch-prefixed state, skipping stale payloads
 	// left over from earlier aborted proposals by the same sender.
-	deadline := start.Add(s.cfg.TransferTimeout)
+	deadline := s.cfg.Time.Now().Add(s.cfg.TransferTimeout)
 	var blob []byte
 	recvOK := false
 	for {
@@ -517,13 +573,10 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 			s.cfg.Logf("rank %d swap-in aborted by leader (epoch %d)", s.r.Rank(), a.epoch)
 			return false, nil
 		}
-		recvDur := s.cfg.Time.Since(start)
-		s.stats.stateRecvNS.Add(uint64(recvDur))
-		if s.tr.Enabled() {
-			s.tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: t0,
-				Dur: s.tr.Now() - t0, Peer: a.stateFrom, Bytes: int64(len(blob)),
-				Epoch: a.epoch, Detail: "in"})
-		}
+		in := obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: t0,
+			Dur: s.tr.Now() - t0, Peer: a.stateFrom, Bytes: int64(len(blob)),
+			Epoch: a.epoch, Detail: "in"}
+		s.tr.Emit(in)
 		s.epoch = a.epoch
 		s.activeSet = append([]int(nil), msg.NewSet...)
 		s.comm = s.r.CommOf(s.activeSet, s.epoch)
@@ -532,7 +585,7 @@ func (s *Session) spareSwapIn(a assignment) (bool, error) {
 		s.iterStart = s.cfg.Clock()
 		s.tr.EmitNow(obs.Event{Kind: obs.KindIterStart, Rank: s.r.Rank(), Epoch: s.epoch})
 		s.cfg.Logf("rank %d swapped in (epoch %d, state %dB in %s, from rank %d)",
-			s.r.Rank(), s.epoch, len(blob), recvDur.Round(time.Microsecond), a.stateFrom)
+			s.r.Rank(), s.epoch, len(blob), duration(in.Dur).Round(time.Microsecond), a.stateFrom)
 		return true, nil
 	}
 }
@@ -564,9 +617,7 @@ func (s *Session) swapPointActive() error {
 	now := s.cfg.Clock()
 	iterTime := now - s.iterStart
 	s.encCache = nil // state may have changed since the last swap point
-	s.stats.swapPoints.Inc()
 	s.tr.EmitNow(obs.Event{Kind: obs.KindIterEnd, Rank: s.r.Rank(), Value: iterTime, Epoch: s.epoch})
-	s.cfg.Telemetry.ObserveIteration(s.r.Rank(), now, iterTime)
 
 	// Measurement report: every active rank probes its own host; the
 	// vector is allgathered so the leader can decide and every member
@@ -580,36 +631,16 @@ func (s *Session) swapPointActive() error {
 	var plan planMsg
 	if s.comm.Rank() == 0 {
 		swapTime := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, s.stateSizeEstimate())
-		var t0 float64
-		if s.tr.Enabled() {
-			t0 = s.tr.Now()
-		}
-		decideStart := s.cfg.Time.Now()
+		t0 := s.tr.Now()
 		resp, err := s.mgr.decide(s.epoch, now, s.activeSet, rates, s.r.Size(), iterTime, swapTime)
-		decideDur := s.cfg.Time.Since(decideStart)
 		if err != nil {
 			return err
 		}
-		s.stats.decisions.Inc()
-		s.stats.decideNS.Add(uint64(decideDur))
-		s.cfg.Telemetry.ObserveDecision(now, resp.Eval, len(resp.Swaps), decideDur.Seconds())
-		if s.tr.Enabled() {
-			ev := obs.Event{Kind: obs.KindSwapDecision, Rank: s.r.Rank(), T: t0,
-				Dur: s.tr.Now() - t0, IterTime: iterTime, SwapTime: swapTime,
-				Swaps: len(resp.Swaps), Epoch: s.epoch}
-			if e := resp.Eval; e != nil {
-				ev.OldPerf, ev.NewPerf = e.OldPerf, e.NewPerf
-				ev.Payback = e.Payback
-				ev.Verdict, ev.Reason = e.Verdict, e.Reason
-			} else if len(resp.Swaps) > 0 {
-				ev.Verdict = "swap"
-			} else {
-				ev.Verdict = "stay"
-			}
-			s.tr.Emit(ev)
-		}
+		ev := resp.DecisionEvent(s.epoch, iterTime, swapTime)
+		ev.Rank, ev.T, ev.Dur = s.r.Rank(), t0, s.tr.Now()-t0
+		s.tr.Emit(ev)
 		s.cfg.Logf("rank %d decision: %d swaps in %s (epoch %d)",
-			s.r.Rank(), len(resp.Swaps), decideDur.Round(time.Microsecond), s.epoch)
+			s.r.Rank(), len(resp.Swaps), duration(ev.Dur).Round(time.Microsecond), s.epoch)
 		plan.Swaps = resp.Swaps
 		if len(resp.Swaps) > 0 {
 			plan.NewEpoch = s.epoch + 1
@@ -709,24 +740,19 @@ func (s *Session) swapPointActive() error {
 		newEpoch = plan.NewEpoch
 	}
 
-	// Leader bookkeeping: count committed swaps, quarantine the spare of
-	// every aborted one (it was proposed, assigned and failed to complete
-	// the transfer — offering it again would just re-abort).
+	// Leader bookkeeping: record each committed swap, quarantine the spare
+	// of every aborted one (it was proposed, assigned and failed to
+	// complete the transfer — offering it again would just re-abort).
 	if s.comm.Rank() == 0 {
 		var quarantined []int
-		s.cfg.Telemetry.ObserveEpoch(newEpoch, newSet)
 		for i, sw := range plan.Swaps {
 			if committed[i] {
-				s.stats.swaps.Inc()
-				s.cfg.Telemetry.ObserveSwap()
+				s.tr.EmitNow(obs.Event{Kind: obs.KindSwapCommit, Rank: sw.Out, Peer: sw.In,
+					Epoch: newEpoch})
 				continue
 			}
-			s.stats.swapAborts.Inc()
-			s.stats.quarantined.Inc()
 			s.mgr.quarantine(sw.In)
 			quarantined = append(quarantined, sw.In)
-			s.cfg.Telemetry.ObserveAbort()
-			s.cfg.Telemetry.ObserveQuarantine(sw.In)
 			s.tr.EmitNow(obs.Event{Kind: obs.KindQuarantine, Rank: s.r.Rank(), Peer: sw.In,
 				Epoch: newEpoch, Detail: fmt.Sprintf("swap %d->%d aborted", sw.Out, sw.In)})
 			s.tr.DumpFlight(fmt.Sprintf("spare quarantined: rank %d", sw.In))
@@ -811,11 +837,7 @@ func (s *Session) swapPointActive() error {
 // for its acknowledgment within the transfer deadline. The returned
 // error describes why the swap must abort; it never fails the run.
 func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
-	var t0 float64
-	if s.tr.Enabled() {
-		t0 = s.tr.Now()
-	}
-	start := s.cfg.Time.Now()
+	t0 := s.tr.Now()
 	data := s.encCache // reuse the leader's size-estimate encoding
 	if data == nil {
 		var err error
@@ -850,25 +872,21 @@ func (s *Session) transferOut(sw SwapDirective, newEpoch uint64) error {
 		}
 		break
 	}
-	sendDur := s.cfg.Time.Since(start)
-	s.stats.stateBytes.Add(uint64(len(data)))
-	s.stats.stateSendNS.Add(uint64(sendDur))
-	if s.tr.Enabled() {
-		s.tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: t0,
-			Dur: s.tr.Now() - t0, Peer: sw.In, Bytes: int64(len(data)),
-			Epoch: newEpoch, Detail: "out"})
-	}
+	out := obs.Event{Kind: obs.KindStateTransfer, Rank: s.r.Rank(), T: t0,
+		Dur: s.tr.Now() - t0, Peer: sw.In, Bytes: int64(len(data)),
+		Epoch: newEpoch, Detail: "out"}
+	s.tr.Emit(out)
 	s.cfg.Logf("rank %d state shipped (proposed epoch %d, %dB in %s, to rank %d)",
-		s.r.Rank(), newEpoch, len(data), sendDur.Round(time.Microsecond), sw.In)
+		s.r.Rank(), newEpoch, len(data), duration(out.Dur).Round(time.Microsecond), sw.In)
 	return nil
 }
 
 // handlerLoop is one rank's swap handler: probe every interval, push to
-// the decider's history, stop when the run ends. The HandlerProbe trace
+// the decider's history, stop when the run ends. A plain HandlerProbe
 // event is emitted only for measurements the decider actually accepted —
 // a trace must not show probes the decision history never saw; failed
-// reports are counted and tagged instead.
-func handlerLoop(rank int, cfg Config, rep Reporter, rc *runCounters, stop <-chan struct{}) {
+// reports are tagged (reportFailed) instead.
+func handlerLoop(rank int, cfg Config, tr *obs.Tracer, rep Reporter, stop <-chan struct{}) {
 	t := cfg.Time.NewTicker(cfg.HandlerInterval)
 	defer t.Stop()
 	for {
@@ -877,16 +895,14 @@ func handlerLoop(rank int, cfg Config, rep Reporter, rc *runCounters, stop <-cha
 			return
 		case <-t.C:
 			msg := ReportMsg{Rank: rank, Now: cfg.Clock(), Rate: cfg.Probe(rank)}
-			cfg.Telemetry.ObserveProbe(rank, msg.Now, msg.Rate)
-			msg.Telemetry = cfg.Telemetry.RankSnapshot(rank)
+			msg.Telemetry = cfg.Telemetry.RankSnapshot(rank, msg.Rate)
 			if err := rep.Report(msg); err != nil {
-				rc.handlerReportErrors.Inc()
-				cfg.Tracer.EmitNow(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank,
-					Value: msg.Rate, Detail: "report-failed: " + err.Error()})
+				tr.EmitNow(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank,
+					Value: msg.Rate, Detail: reportFailed + err.Error()})
 				cfg.Logf("swaprt: handler %d report: %v", rank, err)
 				continue
 			}
-			cfg.Tracer.EmitNow(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, Value: msg.Rate})
+			tr.EmitNow(obs.Event{Kind: obs.KindHandlerProbe, Rank: rank, Value: msg.Rate})
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	clockpkg "repro/internal/clock"
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/series"
 	"repro/internal/swaprt/policylens"
@@ -103,14 +102,15 @@ type rankSeries struct {
 
 // TelemetryHub collects live runtime telemetry: windowed per-rank
 // iteration times with rolling slowdown detection, probe rates, decision
-// payback distances, and the control state a dashboard needs. All
-// methods are nil-safe and, past construction, guarded by one atomic
-// enabled load — a nil or disabled hub makes every observation a no-op,
-// keeping the swap-point hot path at its untraced cost.
+// payback distances, and the control state a dashboard needs. It is an
+// obs.EventSink and builds that state from the runtime's events (see
+// Observe). All methods are nil-safe and, past construction, guarded by
+// one atomic enabled load — a nil or disabled hub drops every event.
 //
 // The same type serves both sides of the report channel: the runtime
-// observes locally and snapshots per-rank telemetry onto ReportMsg; the
-// manager absorbs those snapshots into its own hub for the fleet view.
+// attaches it to its event stream and snapshots per-rank telemetry onto
+// ReportMsg; the manager hands it the decision events it sees and
+// absorbs those snapshots into its own hub for the fleet view.
 type TelemetryHub struct {
 	enabled atomic.Bool
 
@@ -158,15 +158,15 @@ func NewTelemetryHub(clock func() float64) *TelemetryHub {
 	return h
 }
 
-// SetEnabled flips the atomic guard; a disabled hub drops every
-// observation and reports empty.
+// SetEnabled flips the atomic guard; a disabled hub drops every event
+// and reports empty.
 func (h *TelemetryHub) SetEnabled(on bool) {
 	if h != nil {
 		h.enabled.Store(on)
 	}
 }
 
-// on reports whether observations should be recorded.
+// on reports whether events should be recorded.
 func (h *TelemetryHub) on() bool { return h != nil && h.enabled.Load() }
 
 // AttachTracer routes anomaly detections into the trace stream.
@@ -193,100 +193,79 @@ func (h *TelemetryHub) rank(r int) *rankSeries {
 	return rs
 }
 
-// ObserveIteration records one completed iteration and runs the rolling
-// slowdown detector; a detection is counted, kept as the rank's last
-// anomaly, and emitted as a KindAnomaly trace event.
-func (h *TelemetryHub) ObserveIteration(rank int, t, iterTime float64) {
+// Observe implements obs.EventSink. IterEnd feeds the rank's iteration
+// window and slowdown detector (a detection is kept as the rank's last
+// anomaly and traced as KindAnomaly), HandlerProbe its probe series,
+// SwapDecision the decision counts, paybacks and latency (Dur), SwapCommit
+// the swaps, epoch and active set, and Quarantine the aborts and
+// quarantine set. Other kinds return before the lock. Samples carry the
+// hub's clock.
+func (h *TelemetryHub) Observe(ev obs.Event) {
+	switch ev.Kind {
+	case obs.KindIterEnd, obs.KindHandlerProbe, obs.KindSwapDecision,
+		obs.KindSwapCommit, obs.KindQuarantine:
+	default:
+		return
+	}
 	if !h.on() {
 		return
 	}
 	h.mu.Lock()
-	rs := h.rank(rank)
-	rs.iterCount++
-	rs.iters.Push(t, iterTime)
-	an, hit := rs.det.Observe(t, iterTime)
+	t := h.clock()
+	var an series.Anomaly
 	var tr *obs.Tracer
-	if hit {
-		rs.anomalies++
-		a := an
-		rs.last = &a
-		tr = h.tr
+	switch ev.Kind {
+	case obs.KindIterEnd:
+		rs := h.rank(ev.Rank)
+		rs.iterCount++
+		rs.iters.Push(t, ev.Value)
+		var hit bool
+		if an, hit = rs.det.Observe(t, ev.Value); hit {
+			rs.anomalies++
+			a := an
+			rs.last = &a
+			tr = h.tr
+		}
+	case obs.KindHandlerProbe:
+		h.rank(ev.Rank).probes.Push(t, ev.Value)
+	case obs.KindSwapDecision:
+		h.decCount++
+		h.latencies.Push(t, ev.Dur)
+		if ev.Swaps > 0 {
+			h.decSwapCnt++
+		}
+		h.lastVerd, h.lastReason = ev.Verdict, ev.Reason
+		if ev.Payback > 0 {
+			h.lastPay = ev.Payback
+			h.paybacks.Push(t, ev.Payback)
+		}
+	case obs.KindSwapCommit:
+		h.decSwaps++
+		if ev.Epoch >= h.epoch {
+			h.epoch = ev.Epoch
+			for i, r := range h.activeSet {
+				if r == ev.Rank {
+					h.activeSet[i] = ev.Peer
+				}
+			}
+		}
+	case obs.KindQuarantine:
+		h.decAborts++
+		h.quarantined[ev.Peer] = true
 	}
 	h.mu.Unlock()
-	if hit {
-		tr.Emit(obs.Event{Kind: obs.KindAnomaly, Rank: rank, T: t,
+	if tr != nil {
+		tr.Emit(obs.Event{Kind: obs.KindAnomaly, Rank: ev.Rank, T: t,
 			Value: an.Value, IterTime: an.Mean, Z: an.Z, Detail: "iter_time"})
 	}
 }
 
-// ObserveProbe records one swap-handler probe measurement.
-func (h *TelemetryHub) ObserveProbe(rank int, t, rate float64) {
-	if !h.on() {
-		return
-	}
-	h.mu.Lock()
-	h.rank(rank).probes.Push(t, rate)
-	h.mu.Unlock()
-}
-
-// ObserveDecision records one leader decision: verdict, payback distance
-// (when the decider explained itself) and decide latency in seconds.
-func (h *TelemetryHub) ObserveDecision(t float64, eval *core.Explanation, swaps int, latency float64) {
-	if !h.on() {
-		return
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.decCount++
-	h.latencies.Push(t, latency)
-	if swaps > 0 {
-		h.decSwapCnt++
-	}
-	if eval != nil {
-		h.lastVerd, h.lastReason = eval.Verdict, eval.Reason
-		if eval.Payback > 0 {
-			h.lastPay = eval.Payback
-			h.paybacks.Push(t, eval.Payback)
-		}
-	} else if swaps > 0 {
-		h.lastVerd, h.lastReason = "swap", ""
-	} else {
-		h.lastVerd, h.lastReason = "stay", ""
-	}
-}
-
-// ObserveSwap counts one committed swap directive.
-func (h *TelemetryHub) ObserveSwap() {
-	if !h.on() {
-		return
-	}
-	h.mu.Lock()
-	h.decSwaps++
-	h.mu.Unlock()
-}
-
-// ObserveAbort counts one aborted swap directive.
-func (h *TelemetryHub) ObserveAbort() {
-	if !h.on() {
-		return
-	}
-	h.mu.Lock()
-	h.decAborts++
-	h.mu.Unlock()
-}
-
-// ObserveQuarantine records a spare's quarantine.
-func (h *TelemetryHub) ObserveQuarantine(rank int) {
-	if !h.on() {
-		return
-	}
-	h.mu.Lock()
-	h.quarantined[rank] = true
-	h.mu.Unlock()
-}
-
-// ObserveEpoch records the committed epoch and active set after a swap.
-func (h *TelemetryHub) ObserveEpoch(epoch uint64, activeSet []int) {
+// SetActiveSet sets the epoch and active set that SwapCommit events then
+// advance. The runtime calls it once with the initial set; a manager,
+// which sees decision requests but not the commits, calls it with each
+// request's epoch and set. An epoch older than the current one is
+// ignored.
+func (h *TelemetryHub) SetActiveSet(epoch uint64, activeSet []int) {
 	if !h.on() {
 		return
 	}
@@ -362,17 +341,17 @@ func (h *TelemetryHub) snapshotLocked(r int, now float64) RankTelemetry {
 }
 
 // RankSnapshot returns the rank's current telemetry for piggybacking on
-// a ReportMsg, or nil when the hub is off or has nothing for the rank.
-func (h *TelemetryHub) RankSnapshot(rank int) *RankTelemetry {
+// a ReportMsg, with that report's probe rate as Rate (the hub records the
+// probe from the HandlerProbe event sent after the report). Nil when the
+// hub is off.
+func (h *TelemetryHub) RankSnapshot(rank int, rate float64) *RankTelemetry {
 	if !h.on() {
 		return nil
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.ranks[rank] == nil {
-		return nil
-	}
 	rt := h.snapshotLocked(rank, h.clock())
+	rt.Rate = rate
 	return &rt
 }
 

@@ -3,38 +3,49 @@ package swaprt
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
+// hubEvents is one of each event kind the hub derives state from.
+var hubEvents = []obs.Event{
+	{Kind: obs.KindIterEnd, Rank: 0, Value: 0.1},
+	{Kind: obs.KindHandlerProbe, Rank: 0, Value: 100},
+	{Kind: obs.KindSwapDecision, Swaps: 1, Verdict: "swap"},
+	{Kind: obs.KindSwapCommit, Rank: 0, Peer: 2, Epoch: 1},
+	{Kind: obs.KindQuarantine, Peer: 1, Epoch: 1},
+}
+
 // TestTelemetryDisabledNoOp pins the atomic guard: a nil hub and a
-// disabled hub both drop every observation without panicking, and a
-// disabled hub reports empty.
+// disabled hub both drop every event without panicking, and a disabled
+// hub reports empty.
 func TestTelemetryDisabledNoOp(t *testing.T) {
 	var nilHub *TelemetryHub
-	nilHub.ObserveIteration(0, 1, 0.1)
-	nilHub.ObserveProbe(0, 1, 100)
-	nilHub.ObserveDecision(1, nil, 0, 0.001)
-	nilHub.ObserveSwap()
-	nilHub.ObserveAbort()
-	nilHub.ObserveQuarantine(1)
-	nilHub.ObserveEpoch(1, []int{0})
+	for _, ev := range hubEvents {
+		nilHub.Observe(ev)
+	}
+	nilHub.SetActiveSet(1, []int{0})
 	nilHub.AttachTracer(nil)
 	nilHub.SetCircuitProbe(func() string { return "closed" })
 	nilHub.Absorb(&RankTelemetry{Rank: 0})
-	if nilHub.RankSnapshot(0) != nil {
+	if nilHub.RankSnapshot(0, 100) != nil {
 		t.Fatal("nil hub produced a snapshot")
 	}
 
 	h := NewTelemetryHub(nil)
 	h.SetEnabled(false)
-	h.ObserveIteration(0, 1, 0.1)
-	h.ObserveDecision(1, nil, 1, 0.001)
+	for _, ev := range hubEvents {
+		h.Observe(ev)
+	}
 	h.Absorb(&RankTelemetry{Rank: 3})
-	if h.RankSnapshot(0) != nil {
+	if h.RankSnapshot(0, 100) != nil {
 		t.Fatal("disabled hub produced a snapshot")
 	}
 	rep := h.Report()
@@ -43,10 +54,10 @@ func TestTelemetryDisabledNoOp(t *testing.T) {
 	}
 }
 
-// TestTelemetryHubReport drives a hub directly and checks the report:
-// per-rank quantiles, anomaly detection with a KindAnomaly trace event,
-// decision paybacks, control state, and absorbed-snapshot merging with
-// local precedence.
+// TestTelemetryHubReport feeds a hub events directly and checks the
+// report: per-rank quantiles, anomaly detection with a KindAnomaly trace
+// event, decision paybacks, control state, and absorbed-snapshot merging
+// with local precedence.
 func TestTelemetryHubReport(t *testing.T) {
 	now := 0.0
 	h := NewTelemetryHub(func() float64 { return now })
@@ -58,18 +69,23 @@ func TestTelemetryHubReport(t *testing.T) {
 	// fire and the hub must both record and trace it.
 	for i := 0; i < 16; i++ {
 		now = float64(i)
-		h.ObserveIteration(0, now, 0.1+0.001*float64(i%4))
+		h.Observe(obs.Event{Kind: obs.KindIterEnd, Rank: 0, Value: 0.1 + 0.001*float64(i%4)})
 	}
 	now = 16
-	h.ObserveIteration(0, now, 0.8)
-	h.ObserveIteration(1, 16, 0.2)
+	h.Observe(obs.Event{Kind: obs.KindIterEnd, Rank: 0, Value: 0.8})
+	h.Observe(obs.Event{Kind: obs.KindIterEnd, Rank: 1, Value: 0.2})
 
-	h.ObserveProbe(0, 17, 123)
-	h.ObserveDecision(17, &core.Explanation{Verdict: "swap", Reason: "gain", Payback: 3.5}, 1, 0.002)
-	h.ObserveSwap()
-	h.ObserveAbort()
-	h.ObserveQuarantine(2)
-	h.ObserveEpoch(1, []int{0, 3})
+	now = 17
+	h.SetActiveSet(0, []int{0, 1})
+	h.Observe(obs.Event{Kind: obs.KindHandlerProbe, Rank: 0, Value: 123})
+	dec := DecideResponse{Swaps: []SwapDirective{{Out: 1, In: 3}, {Out: 0, In: 2}},
+		Eval: &core.Explanation{Verdict: "swap", Reason: "gain", Payback: 3.5}}
+	ev := dec.DecisionEvent(0, 0.8, 0.01)
+	ev.Dur = 0.002
+	h.Observe(ev)
+	h.Observe(obs.Event{Kind: obs.KindSwapCommit, Rank: 1, Peer: 3, Epoch: 1})
+	h.Observe(obs.Event{Kind: obs.KindQuarantine, Rank: 0, Peer: 2, Epoch: 1})
+	h.Observe(obs.Event{Kind: obs.KindMPISend, Rank: 0, Peer: 1}) // not a hub fact
 	h.SetCircuitProbe(func() string { return "half-open" })
 	h.Absorb(&RankTelemetry{Rank: 5, Iters: 7, Rate: 42})
 	h.Absorb(&RankTelemetry{Rank: 0, Iters: 999}) // local rank 0 must win
@@ -99,11 +115,14 @@ func TestTelemetryHubReport(t *testing.T) {
 	if d.Count != 1 || d.SwapVerdicts != 1 || d.Swaps != 1 || d.Aborts != 1 {
 		t.Fatalf("decision counts: %+v", d)
 	}
-	if d.LastVerdict != "swap" || d.LastPayback != 3.5 || d.Payback.N != 1 {
+	if d.LastVerdict != "swap" || d.LastPayback != 3.5 || d.Payback.N != 1 || d.Latency.Max != 0.002 {
 		t.Fatalf("payback telemetry: %+v", d)
 	}
-	if rep.Epoch != 1 || len(rep.ActiveSet) != 2 {
-		t.Fatalf("epoch/active set: %+v", rep)
+	if rep.Epoch != 1 || !reflect.DeepEqual(rep.ActiveSet, []int{0, 3}) {
+		t.Fatalf("epoch/active set: %d %v", rep.Epoch, rep.ActiveSet)
+	}
+	if snap := h.RankSnapshot(0, 456); snap == nil || snap.Rate != 456 || snap.Iters != 17 {
+		t.Fatalf("piggyback snapshot must carry the report's own probe: %+v", snap)
 	}
 	if len(rep.Quarantined) != 1 || rep.Quarantined[0] != 2 {
 		t.Fatalf("quarantined: %v", rep.Quarantined)
@@ -127,7 +146,7 @@ func TestTelemetryHubReport(t *testing.T) {
 // nil-hub empty document) that cmd/swapmon parses.
 func TestTelemetryHandler(t *testing.T) {
 	h := NewTelemetryHub(nil)
-	h.ObserveIteration(1, 0.5, 0.1)
+	h.Observe(obs.Event{Kind: obs.KindIterEnd, Rank: 1, Value: 0.1})
 	srv := httptest.NewServer(TelemetryHandler(h))
 	defer srv.Close()
 	resp, err := srv.Client().Get(srv.URL)
@@ -197,5 +216,59 @@ func TestTelemetryThroughRuntime(t *testing.T) {
 	}
 	if iters == 0 {
 		t.Fatal("no iterations observed")
+	}
+}
+
+// snapshotCheckDecider records, for every handler report, whether the
+// piggybacked snapshot carries the report's own probe.
+type snapshotCheckDecider struct {
+	*LocalDecider
+	mu           sync.Mutex
+	reports, bad int
+}
+
+func (d *snapshotCheckDecider) Report(r ReportMsg) error {
+	d.mu.Lock()
+	d.reports++
+	if r.Telemetry == nil || r.Telemetry.Rank != r.Rank || r.Telemetry.Rate != r.Rate {
+		d.bad++
+	}
+	d.mu.Unlock()
+	return d.LocalDecider.Report(r)
+}
+
+// TestHandlerSnapshotCarriesProbe: every probe reading differs, and the
+// snapshot a handler piggybacks on its report must carry that same
+// reading, not the previous interval's.
+func TestHandlerSnapshotCarriesProbe(t *testing.T) {
+	var reading atomic.Int64
+	d := &snapshotCheckDecider{LocalDecider: NewLocalDecider(core.Greedy())}
+	err := Run(mpi.NewWorld(2), Config{
+		Active:          1,
+		Decider:         d,
+		Probe:           func(int) float64 { return float64(reading.Add(1)) },
+		HandlerInterval: time.Millisecond,
+		Telemetry:       NewTelemetryHub(nil),
+	}, func(s *Session) error {
+		iter := 0
+		s.Register("iter", &iter)
+		for !s.Done() && iter < 5 {
+			if s.Active() {
+				time.Sleep(5 * time.Millisecond) // give handlers room to tick
+				iter++
+			}
+			if err := s.SwapPoint(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.reports == 0 || d.bad != 0 {
+		t.Fatalf("%d of %d handler reports piggybacked a snapshot without their own probe", d.bad, d.reports)
 	}
 }
