@@ -193,7 +193,9 @@ failover-smoke:
 # -audit replays the whole log offline and fails on any bookkeeping
 # violation (committed swap without a realized payback, realization for
 # an epoch that never committed, ok-verdict contradicting its own error).
-# Second leg: the mon-smoke shape with -lens serving /telemetry while
+# Second leg: the same offline audit over a simulated run, whose lens
+# is attached to the kernel tracer and audits on the virtual clock.
+# Third leg: the mon-smoke shape with -lens serving /telemetry while
 # swapmon -once gates on the lens panel itself (-min-shadow 1 proves the
 # shadow scoreboard is live alongside the committed swap).
 lens-smoke:
@@ -201,6 +203,9 @@ lens-smoke:
 	$(GO) run ./cmd/swaprun -ranks 2 -active 1 -iters 20 -work 10 \
 		-inject 0@0.05:8 -lens -events-out results/lens-events.jsonl
 	$(GO) run ./cmd/tracecheck -audit results/lens-events.jsonl
+	$(GO) run ./cmd/swapsim -tech swap -hosts 6 -active 2 -iters 10 -seed 63 \
+		-lens -events-out results/lens-sim.jsonl
+	$(GO) run ./cmd/tracecheck -audit results/lens-sim.jsonl
 	$(GO) build -o results/lens-swaprun ./cmd/swaprun
 	$(GO) build -o results/lens-swapmon ./cmd/swapmon
 	./results/lens-swaprun -ranks 3 -active 1 -iters 1000 -work 5 \

@@ -53,29 +53,39 @@ import (
 )
 
 // meteredDecider wraps the local decider with registry counters so the
-// debug endpoint can report live decision activity, and with the
-// telemetry hub that aggregates the fleet view: Decide hands the hub
-// each decision as the same SwapDecision event the runtime emits
-// (verdict, payback distance, latency) plus the request's epoch and
-// active set, and Report absorbs the per-rank telemetry snapshots
+// debug endpoint can report live decision activity. Decide emits each
+// decision as the same SwapDecision event the runtime emits (verdict,
+// payback distance, latency, decider input) into a tracer whose sinks
+// are the telemetry hub, which aggregates the fleet view, and the
+// policy lens; Report absorbs the per-rank telemetry snapshots
 // piggybacked on handler reports. It forwards Report so handler
 // measurements still reach the decider's history.
 type meteredDecider struct {
 	inner     *swaprt.LocalDecider
 	hub       *swaprt.TelemetryHub // nil-safe
-	lens      *policylens.Lens     // nil-safe
+	tr        *obs.Tracer          // buffers nothing; fans out to hub and lens
 	decisions *obs.Counter
 	swaps     *obs.Counter
 	reports   *obs.Counter
 	decideNS  *obs.Counter
 }
 
+// newMeteredDecider wires inner's decisions to the hub and, when lens is
+// non-nil, the lens. The manager never learns outcomes directly, so the
+// lens settles each proposed round at the next request's epoch.
 func newMeteredDecider(inner *swaprt.LocalDecider, hub *swaprt.TelemetryHub,
 	lens *policylens.Lens, reg *obs.Registry) *meteredDecider {
+	tr := obs.New(0)
+	if hub != nil {
+		tr.AttachSink(hub)
+	}
+	if lens != nil {
+		tr.AttachSink(lens)
+	}
 	return &meteredDecider{
 		inner:     inner,
 		hub:       hub,
-		lens:      lens,
+		tr:        tr,
 		decisions: reg.Counter("swapmgr.decisions"),
 		swaps:     reg.Counter("swapmgr.swaps"),
 		reports:   reg.Counter("swapmgr.reports"),
@@ -92,36 +102,12 @@ func (d *meteredDecider) Decide(req swaprt.DecideRequest) (swaprt.DecideResponse
 	d.decisions.Inc()
 	if err == nil {
 		d.swaps.Add(uint64(len(resp.Swaps)))
-		ev := resp.DecisionEvent(req.Epoch, req.IterTime, req.SwapTime)
+		ev := resp.DecisionEvent(req)
 		ev.Rank, ev.T, ev.Dur = obs.RankRuntime, req.Now, dur.Seconds()
-		d.hub.Observe(ev)
+		d.tr.Emit(ev)
 		d.hub.SetActiveSet(req.Epoch, req.ActiveSet)
-		if d.lens.Enabled() {
-			d.lens.ObserveIteration(req.Now, req.IterTime)
-			d.lens.ObserveDecision(policylens.Decision{
-				T: req.Now, Epoch: req.Epoch, Input: req.Input(), Eval: resp.Eval,
-				Swaps: len(resp.Swaps),
-			})
-		}
 	}
 	return resp, err
-}
-
-// ReportOutcome implements swaprt.OutcomeReporter: the leader's
-// two-phase verdict activates (commit) or drops (abort) the lens's
-// armed payback prediction. ServeManager forwards outcome messages here;
-// in durable mode the DurableDecider forwards after its WAL writes.
-func (d *meteredDecider) ReportOutcome(o swaprt.OutcomeMsg) error {
-	committed, aborted := 0, 0
-	if o.Committed {
-		committed = 1
-	} else {
-		aborted = 1
-	}
-	// The manager has no leader clock; the lens falls back to the last
-	// observed decision time for report timestamps.
-	d.lens.ObserveOutcome(0, o.Epoch, committed, aborted)
-	return nil
 }
 
 // Report implements swaprt.Reporter.

@@ -23,6 +23,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/simkern"
 	"repro/internal/strategy"
+	"repro/internal/swaprt/policylens"
 	"repro/internal/trace"
 )
 
@@ -151,6 +152,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	// -lens audits the simulated decisions from the kernel's event
+	// stream, as swaprun's lens does the live runtime's. Without trace
+	// output the tracer buffers nothing and exists only to feed it.
+	var lens *policylens.Lens
+	if traceFlags.Lens {
+		if tracer == nil {
+			tracer = obs.New(*active, obs.WithClock(k.Now))
+		}
+		lens = policylens.New(policylens.Config{Tolerance: traceFlags.LensTolerance, Tracer: tracer})
+		tracer.AttachSink(lens)
+	}
 	k.SetTracer(tracer)
 	if traceFlags.Causal && tracer != nil {
 		// Simulated causal clocks stamp the same MsgSend/MsgRecv
@@ -175,6 +187,11 @@ func main() {
 	fmt.Printf("swap/ckpt count %d\n", res.Swaps)
 	fmt.Printf("overhead        %.1f s\n", res.Overhead)
 	fmt.Printf("final hosts     %v\n", res.FinalHosts)
+	if lens != nil {
+		rep := lens.Report()
+		fmt.Printf("policy lens     %d decisions, %d commits, %d realized (%d mispredicted, tolerance %g), %d shadow decisions\n",
+			rep.Decisions, rep.Commits, rep.Realized, rep.Mispredicts, rep.Tolerance, rep.ShadowDecisions())
+	}
 
 	if *showGantt {
 		fmt.Println()

@@ -81,8 +81,8 @@ func TestCausalWorldInproc(t *testing.T) {
 	assertCausalTrace(t, events, 10)
 }
 
-// TestCausalWorldTCP: Config.Causal upgrades the binary TCP codec to
-// CodecCausal and the 16-byte wire extension carries the clocks.
+// TestCausalWorldTCP: Config.Causal selects the wire.CodecCausal TCP
+// codec, and its 16-byte wire extension carries the clocks.
 func TestCausalWorldTCP(t *testing.T) {
 	events := causalPingPong(t, Config{Size: 2, Causal: true, TCP: true}, 5)
 	assertCausalTrace(t, events, 10)

@@ -44,17 +44,6 @@ var ErrRecvTimeout = errors.New("mpi: receive timed out")
 // shape, so the two packages share one definition.
 type envelope = wire.Envelope
 
-// Codec selects the TCP transport's wire encoding (see Config.Codec).
-const (
-	// CodecBinary is the length-prefixed binary framing: zero
-	// allocations on the steady-state send path. The default.
-	CodecBinary = wire.CodecBinary
-	// CodecCausal is the binary framing plus the optional causal
-	// extension (Lamport clock + send sequence) on each frame. Selected
-	// automatically by Config.Causal on binary TCP worlds.
-	CodecCausal = wire.CodecCausal
-)
-
 // transport moves envelopes between ranks.
 type transport interface {
 	// send delivers the envelope to its destination's mailbox; it may
@@ -314,11 +303,6 @@ type Config struct {
 	// TCP selects the loopback TCP transport instead of the in-process
 	// one.
 	TCP bool
-	// Codec selects the TCP transport's wire encoding: CodecBinary
-	// (zero means binary, the default) or CodecCausal. Ignored for
-	// in-process worlds. Worlds with different codecs interoperate; each
-	// connection's codec is negotiated by its stream preamble.
-	Codec wire.Codec
 	// Fault, when non-nil, wraps the transport so every send consults the
 	// injector first. Injected faults are counted under "mpi.fault.*" and
 	// emit FaultInject trace events when a tracer is attached.
@@ -333,9 +317,11 @@ type Config struct {
 	// (and therefore every collective, which is built on them) carries
 	// the sender's (clock, sequence), receivers merge it, and — with a
 	// tracer attached — MsgSend/MsgRecv events record the happens-before
-	// edges. On binary TCP worlds this upgrades the codec to CodecCausal
-	// (preamble-negotiated, so causal and non-causal worlds still
-	// interoperate).
+	// edges. It also selects the TCP wire encoding: wire.CodecCausal, the
+	// binary framing plus the clock extension, instead of the plain
+	// zero-allocation wire.CodecBinary. Each connection's codec is
+	// negotiated by its stream preamble, so causal and non-causal worlds
+	// interoperate.
 	Causal bool
 }
 
@@ -346,14 +332,8 @@ func NewWorldWithConfig(cfg Config) (*World, error) {
 		w   *World
 		err error
 	)
-	codec := cfg.Codec
-	if codec == 0 {
-		codec = wire.CodecBinary
-	}
-	if !codec.Valid() {
-		return nil, fmt.Errorf("mpi: unknown codec %q (want CodecBinary or CodecCausal)", codec)
-	}
-	if cfg.Causal && codec == wire.CodecBinary {
+	codec := wire.CodecBinary
+	if cfg.Causal {
 		codec = wire.CodecCausal
 	}
 	if cfg.TCP {

@@ -12,17 +12,6 @@ import (
 	"repro/internal/mpi/wire"
 )
 
-// TestTCPUnknownCodecRejected pins Config validation: an unknown codec
-// byte must fail world construction, not surface as garbled streams.
-// 'G' named the retired gob codec and is now just another unknown byte.
-func TestTCPUnknownCodecRejected(t *testing.T) {
-	for _, codec := range []wire.Codec{'Z', 'G'} {
-		if _, err := NewWorldWithConfig(Config{Size: 2, TCP: true, Codec: codec}); err == nil {
-			t.Fatalf("unknown codec %q accepted", byte(codec))
-		}
-	}
-}
-
 // TestTCPMixedCodecMesh proves per-connection codec negotiation: a raw
 // causal sender delivers into a binary-codec world and a raw binary
 // sender delivers into a causal-codec world, because the receiver picks
@@ -31,15 +20,15 @@ func TestTCPUnknownCodecRejected(t *testing.T) {
 func TestTCPMixedCodecMesh(t *testing.T) {
 	cases := []struct {
 		name     string
-		codec    wire.Codec // the receiving world's configured codec
-		preamble byte       // the foreign sender's stream codec
+		causal   bool // the receiving world's Config.Causal (its codec)
+		preamble byte // the foreign sender's stream codec
 	}{
-		{"causal sender into binary world", CodecBinary, 'C'},
-		{"binary sender into causal world", CodecCausal, 'B'},
+		{"causal sender into binary world", false, 'C'},
+		{"binary sender into causal world", true, 'B'},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w, err := NewWorldWithConfig(Config{Size: 2, TCP: true, Codec: tc.codec})
+			w, err := NewWorldWithConfig(Config{Size: 2, TCP: true, Causal: tc.causal})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,13 +198,17 @@ func TestTCPCloseUnblocksDialRetryStorm(t *testing.T) {
 // codec-independence: verdicts are applied above the transport, so drop
 // and error rules behave identically over binary and causal framing.
 func TestTCPFaultInjectionOverBothCodecs(t *testing.T) {
-	for _, codec := range []wire.Codec{CodecBinary, CodecCausal} {
+	for _, causal := range []bool{false, true} {
+		codec := wire.CodecBinary
+		if causal {
+			codec = wire.CodecCausal
+		}
 		t.Run(codec.String(), func(t *testing.T) {
 			inj := &stubInjector{verdicts: map[[2]int]FaultVerdict{
 				{0, 1}: {Drop: true, Detail: "eat 0->1"},
 				{1, 0}: {Err: errors.New("refused"), Detail: "fail 1->0"},
 			}}
-			w, err := NewWorldWithConfig(Config{Size: 3, TCP: true, Codec: codec, Fault: inj})
+			w, err := NewWorldWithConfig(Config{Size: 3, TCP: true, Causal: causal, Fault: inj})
 			if err != nil {
 				t.Fatal(err)
 			}

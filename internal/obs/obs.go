@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 )
 
 // Kind is the event taxonomy. The set mirrors the runtime's moving parts:
@@ -187,6 +188,11 @@ type Event struct {
 	Seq    uint64 `json:"seq,omitempty"`     // sender's send sequence for the message
 	PeerLC uint64 `json:"peer_lc,omitempty"` // piggybacked sender clock (KindMsgRecv)
 	Epoch  uint64 `json:"epoch,omitempty"`   // swap epoch the event belongs to
+
+	// Input is the exact input the decider saw (KindSwapDecision), so an
+	// in-process sink such as the policy lens can replay the decision.
+	// It is not part of any trace encoding; decoded events leave it nil.
+	Input *core.DecideInput `json:"-"`
 }
 
 // RankRuntime attributes an event to the runtime itself rather than a

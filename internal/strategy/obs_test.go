@@ -12,17 +12,47 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/simkern"
+	"repro/internal/swaprt/policylens"
 )
 
-// tracedSwapRun executes one Swap run with a tracer attached to the
-// kernel and returns the result plus the merged event stream.
+// tracedSwapRun executes one Swap run with a tracer and a policy lens
+// attached to the kernel, and returns the result plus the merged event
+// stream, lens attribution included.
 func tracedSwapRun(seed int64) (Result, []obs.Event) {
 	p := testPlatform(8, loadgen.NewOnOff(0.3), seed)
 	tr := obs.New(4, obs.WithClock(p.Kernel.Now))
 	tr.Enable()
+	tr.AttachSink(policylens.New(policylens.Config{Tracer: tr}))
 	p.Kernel.SetTracer(tr)
 	res := Swap{}.Run(p, Scenario{Active: 4, App: app.Default(8).WithState(50e6), Policy: core.Greedy()})
 	return res, tr.Events()
+}
+
+// TestSimRandomSelectionSkipsLens pins the ablation's lens contract: the
+// random-selection rule has no explained verdict to replay against, so
+// its decisions carry no Input and an attached lens leaves its shadow
+// scoreboard unchanged. The tracer buffers nothing; the lens alone makes
+// the simulator emit.
+func TestSimRandomSelectionSkipsLens(t *testing.T) {
+	p := testPlatform(8, loadgen.NewOnOff(0.3), 63)
+	tr := obs.New(4, obs.WithClock(p.Kernel.Now))
+	lens := policylens.New(policylens.Config{Tracer: tr})
+	tr.AttachSink(lens)
+	p.Kernel.SetTracer(tr)
+	res := Swap{}.Run(p, Scenario{Active: 4, App: app.Default(8).WithState(50e6),
+		Policy: core.Greedy(), SwapSelection: "random", SelectSeed: 3})
+	if res.Swaps == 0 {
+		t.Fatal("seed 63, select seed 3 no longer swaps under random selection")
+	}
+	rep := lens.Report()
+	if rep.Decisions != 0 || rep.Commits != 0 || rep.Tracking != 0 {
+		t.Fatalf("random-selection decisions reached the lens: %+v", rep)
+	}
+	for _, s := range rep.Shadow {
+		if s != (policylens.PolicyScore{Policy: s.Policy}) {
+			t.Fatalf("shadow scoreboard moved: %+v", s)
+		}
+	}
 }
 
 // TestSimTraceSwap asserts a simulated Swap run emits the same event

@@ -16,7 +16,6 @@ import (
 	"repro/internal/predict"
 	"repro/internal/rng"
 	"repro/internal/simkern"
-	"repro/internal/swaprt/policylens"
 )
 
 // Scenario configures one simulated application run.
@@ -96,10 +95,6 @@ type Result struct {
 	Iters       []IterRecord
 	Events      []Event
 	FinalHosts  []int
-	// Lens is the policy lens report for techniques that audit their
-	// decisions (Swap); nil otherwise. Sweeps read prediction accuracy
-	// and the shadow scoreboard from here.
-	Lens *policylens.Report
 }
 
 // MeanIterTime reports the average iteration duration (excluding
@@ -150,11 +145,8 @@ type driver struct {
 	selStream *rng.Stream
 	res       Result
 
-	// lens audits swap decisions on the virtual clock, mirroring the
-	// live runtime's policy lens (created at the first swap boundary);
 	// epoch counts committed swap rounds with the live runtime's
 	// convention: a decision at epoch e proposes e+1.
-	lens  *policylens.Lens
 	epoch uint64
 }
 
@@ -260,10 +252,6 @@ func run(p *platform.Platform, sc Scenario, name string, chunks chunkFunc, bound
 		}
 		d.res.TotalTime = proc.Now()
 		d.res.FinalHosts = append([]int(nil), d.hosts...)
-		if d.lens != nil {
-			rep := d.lens.Report()
-			d.res.Lens = &rep
-		}
 	})
 	k.Run()
 	if stuck := k.Stuck(); stuck != nil {

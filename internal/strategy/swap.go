@@ -8,7 +8,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rng"
 	"repro/internal/simkern"
-	"repro/internal/swaprt/policylens"
 )
 
 // Swap is MPI process swapping: the application computes on N of the
@@ -47,21 +46,7 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	pol := d.sc.policy()
 	tr := d.p.Kernel.Tracer()
 	swapTime := d.predictedSwapTime()
-	// The sim drives the same policy lens as the live runtime, on the
-	// virtual clock, so simulated and live traces carry byte-identical
-	// lens attribution (ShadowDecision / PaybackRealized events).
-	if d.lens == nil {
-		d.lens = policylens.New(policylens.Config{Tracer: tr})
-	}
-	d.lens.ObserveIteration(now, iterTime)
-	in := core.DecideInput{
-		Active:   active,
-		Spare:    spare,
-		IterTime: iterTime,
-		SwapTime: swapTime,
-	}
 	var swaps []core.SwapPair
-	var eval *core.Explanation
 	if d.selStream != nil {
 		swaps = randomSelect(pol, d.selStream, active, spare, iterTime, swapTime)
 		if tr.Enabled() {
@@ -74,19 +59,21 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 				Verdict: verdict, Detail: "random selection", Epoch: d.epoch})
 		}
 	} else {
+		in := core.DecideInput{Active: active, Spare: spare, IterTime: iterTime, SwapTime: swapTime}
 		var exp core.Explanation
 		swaps, exp = pol.DecideExplained(in)
-		eval = &exp
 		if tr.Enabled() {
+			// The event carries the decider's input, as the live runtime's
+			// does, so a policy lens attached to the kernel tracer audits
+			// simulated decisions on the virtual clock. The copy keeps the
+			// untraced path allocation-free.
+			traced := in
 			tr.Emit(obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: now,
 				IterTime: iterTime, SwapTime: swapTime, Swaps: len(swaps),
 				OldPerf: exp.OldPerf, NewPerf: exp.NewPerf, Payback: exp.Payback,
-				Verdict: exp.Verdict, Reason: exp.Reason, Epoch: d.epoch})
+				Verdict: exp.Verdict, Reason: exp.Reason, Epoch: d.epoch, Input: &traced})
 		}
 	}
-	d.lens.ObserveDecision(policylens.Decision{
-		T: now, Epoch: d.epoch, Input: in, Eval: eval, Swaps: len(swaps),
-	})
 	if len(swaps) == 0 {
 		return
 	}
@@ -109,7 +96,6 @@ func swapBoundary(d *driver, proc *simkern.Proc, iter int, iterTime float64) {
 	// a decision at epoch e establishes e+1) so later events carrying
 	// the new epoch are the trace's commit evidence for the audit.
 	d.epoch++
-	d.lens.ObserveOutcome(proc.Now(), d.epoch, len(swaps), 0)
 	if tr.Enabled() {
 		for _, s := range swaps {
 			tr.Emit(obs.Event{Kind: obs.KindStateTransfer, Rank: s.Out.ID, T: now,

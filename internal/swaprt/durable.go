@@ -219,14 +219,7 @@ func (d *DurableDecider) ReportOutcome(o OutcomeMsg) error {
 		}
 	}
 	if pending != nil && pending.Epoch == o.Epoch {
-		if err := d.releaseSwaps(pending.Swaps); err != nil {
-			return err
-		}
-	}
-	// Forward to the wrapped decider so composed observers (e.g. a
-	// metered decider's policy lens) also learn the outcome.
-	if rep, ok := d.inner.(OutcomeReporter); ok {
-		return rep.ReportOutcome(o)
+		return d.releaseSwaps(pending.Swaps)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/predict"
-	"repro/internal/swaprt/policylens"
 )
 
 // DecideRequest carries one swap-point measurement set to a decider.
@@ -51,12 +50,14 @@ type DecideResponse struct {
 	Eval  *core.Explanation `json:"eval,omitempty"`
 }
 
-// DecisionEvent is the KindSwapDecision event for this response to a
-// decision taken in epoch: Eval's verdict and payback algebra, or a bare
-// swap/stay verdict without one. The caller stamps Rank, T and Dur.
-func (resp DecideResponse) DecisionEvent(epoch uint64, iterTime, swapTime float64) obs.Event {
-	ev := obs.Event{Kind: obs.KindSwapDecision, IterTime: iterTime, SwapTime: swapTime,
-		Swaps: len(resp.Swaps), Epoch: epoch, Verdict: "stay"}
+// DecisionEvent is the KindSwapDecision event for this response to req:
+// the request's epoch, times and decider input, and Eval's verdict and
+// payback algebra, or a bare swap/stay verdict without one. The caller
+// stamps Rank, T and Dur.
+func (resp DecideResponse) DecisionEvent(req DecideRequest) obs.Event {
+	in := req.Input()
+	ev := obs.Event{Kind: obs.KindSwapDecision, IterTime: req.IterTime, SwapTime: req.SwapTime,
+		Swaps: len(resp.Swaps), Epoch: req.Epoch, Verdict: "stay", Input: &in}
 	if e := resp.Eval; e != nil {
 		ev.OldPerf, ev.NewPerf, ev.Payback = e.OldPerf, e.NewPerf, e.Payback
 		ev.Verdict, ev.Reason = e.Verdict, e.Reason
@@ -261,9 +262,11 @@ func (m *manager) finish() {
 
 // decide is called by the active leader with active measurements; it
 // handles forced evictions, probes spares and consults the decider for
-// the rest.
+// the rest. The returned SwapDecision event (Rank, T and Dur left to the
+// caller) carries the decider's own input and verdict; the forced
+// evictions join only its directive count.
 func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates []float64,
-	allRanks int, iterTime, swapTime float64) (DecideResponse, error) {
+	allRanks int, iterTime, swapTime float64) (DecideResponse, obs.Event, error) {
 
 	isActive := map[int]bool{}
 	for _, r := range activeSet {
@@ -299,7 +302,7 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 				}
 			}
 			if best < 0 {
-				return DecideResponse{}, fmt.Errorf(
+				return DecideResponse{}, obs.Event{}, fmt.Errorf(
 					"swaprt: rank %d evicted but no spare available", out)
 			}
 			usedSpare[best] = true
@@ -337,7 +340,7 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 	}
 	resp, err := m.decider.Decide(req)
 	if err != nil {
-		return DecideResponse{}, err
+		return DecideResponse{}, obs.Event{}, err
 	}
 	// Validate: Out must be active, In must be a non-quarantined spare,
 	// no rank reused.
@@ -347,20 +350,12 @@ func (m *manager) decide(epoch uint64, now float64, activeSet []int, activeRates
 	}
 	for _, s := range resp.Swaps {
 		if !isActive[s.Out] || isActive[s.In] || used[s.Out] || used[s.In] || m.isQuarantined(s.In) {
-			return DecideResponse{}, fmt.Errorf("swaprt: invalid swap directive %+v", s)
+			return DecideResponse{}, obs.Event{}, fmt.Errorf("swaprt: invalid swap directive %+v", s)
 		}
 		used[s.Out], used[s.In] = true, true
 	}
-	// Audit: the lens sees the exact input the decider saw (post-filter,
-	// pre-forced-evictions) and its verdict, feeds the iteration sample
-	// to any tracked payback prediction, and replays the shadow panel.
-	if m.cfg.Lens.Enabled() {
-		m.cfg.Lens.ObserveIteration(now, iterTime)
-		m.cfg.Lens.ObserveDecision(policylens.Decision{
-			T: now, Epoch: epoch, Input: req.Input(), Eval: resp.Eval,
-			Swaps: len(resp.Swaps),
-		})
-	}
+	ev := resp.DecisionEvent(req)
 	resp.Swaps = append(forced, resp.Swaps...)
-	return resp, nil
+	ev.Swaps = len(resp.Swaps)
+	return resp, ev, nil
 }

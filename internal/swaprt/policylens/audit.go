@@ -8,6 +8,42 @@ import (
 	"repro/internal/obs"
 )
 
+// Settlement is what one event says about a swap round proposed for
+// some epoch.
+type Settlement uint8
+
+// Settlements.
+const (
+	Unsettled Settlement = iota
+	Committed
+	Aborted
+)
+
+// Settle applies the commit rule the lens and Audit share to one event
+// and a swap round proposed for epoch p (by a decision at epoch p−1
+// that ordered swaps). The round committed when a non-abort event
+// carries epoch p: the runtime stamps SwapCommit, IterStart and
+// StateTransfer with the new epoch only after the two-phase commit
+// lands, the simulator mirrors the convention on StateTransfer, and a
+// decision at epoch p — all a swap manager sees — comes after the
+// commit too. The round aborted when a Quarantine or a decision still
+// carries epoch p−1. Abort events and the lens's own attributions
+// settle nothing.
+func Settle(ev obs.Event, p uint64) Settlement {
+	switch ev.Kind {
+	case obs.KindSwapAbort, obs.KindPaybackRealized, obs.KindShadowDecision:
+		return Unsettled
+	case obs.KindQuarantine, obs.KindSwapDecision:
+		if ev.Epoch+1 == p {
+			return Aborted
+		}
+	}
+	if ev.Epoch == p {
+		return Committed
+	}
+	return Unsettled
+}
+
 // AuditConfig tunes the offline replay.
 type AuditConfig struct {
 	// Tolerance is the relative payback error above which a realized
@@ -59,21 +95,11 @@ func Audit(events []obs.Event, cfg AuditConfig) AuditResult {
 
 	var res AuditResult
 
-	// Pass 1: which epochs show post-commit evidence? A proposed epoch P
-	// is committed exactly when some non-abort event later carries
-	// Epoch == P (the runtime stamps IterStart/StateTransfer with the
-	// new epoch only after the two-phase commit lands; the simulator
-	// mirrors the convention).
+	// Pass 1: which epochs show post-commit evidence, by the rule the
+	// online lens settles its proposals with (Settle)?
 	epochSeen := map[uint64]bool{}
 	for _, ev := range events {
-		switch ev.Kind {
-		case obs.KindSwapAbort, obs.KindSwapDecision,
-			obs.KindPaybackRealized, obs.KindShadowDecision:
-			// Aborts, the proposing decision itself, and the lens's own
-			// attributions are not commit evidence.
-			continue
-		}
-		if ev.Epoch > 0 {
+		if ev.Epoch > 0 && Settle(ev, ev.Epoch) == Committed {
 			epochSeen[ev.Epoch] = true
 		}
 	}

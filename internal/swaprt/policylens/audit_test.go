@@ -161,3 +161,30 @@ func TestAuditReportDeterministic(t *testing.T) {
 		t.Fatalf("report:\n%s", a.String())
 	}
 }
+
+// TestSettleRule pins the commit rule the lens and Audit share, for a
+// round proposed at epoch 2.
+func TestSettleRule(t *testing.T) {
+	cases := []struct {
+		ev   obs.Event
+		want Settlement
+	}{
+		{obs.Event{Kind: obs.KindSwapCommit, Epoch: 2}, Committed},
+		{obs.Event{Kind: obs.KindIterStart, Epoch: 2}, Committed},
+		{obs.Event{Kind: obs.KindStateTransfer, Epoch: 2}, Committed},
+		{obs.Event{Kind: obs.KindSwapDecision, Epoch: 2}, Committed},
+		{obs.Event{Kind: obs.KindQuarantine, Epoch: 2}, Committed}, // a partial commit
+		{obs.Event{Kind: obs.KindQuarantine, Epoch: 1}, Aborted},
+		{obs.Event{Kind: obs.KindSwapDecision, Epoch: 1}, Aborted},
+		{obs.Event{Kind: obs.KindSwapAbort, Epoch: 2}, Unsettled},
+		{obs.Event{Kind: obs.KindPaybackRealized, Epoch: 2}, Unsettled},
+		{obs.Event{Kind: obs.KindShadowDecision, Epoch: 1}, Unsettled},
+		{obs.Event{Kind: obs.KindIterEnd, Epoch: 1}, Unsettled},
+		{obs.Event{Kind: obs.KindManagerAssign, Epoch: 1}, Unsettled},
+	}
+	for _, c := range cases {
+		if got := Settle(c.ev, 2); got != c.want {
+			t.Errorf("Settle(%s at epoch %d, 2) = %d, want %d", c.ev.Kind, c.ev.Epoch, got, c.want)
+		}
+	}
+}

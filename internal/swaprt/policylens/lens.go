@@ -3,7 +3,9 @@
 // (events, latencies, crashes), the lens watches whether the decisions
 // were *right*.
 //
-// It does two things, both fed from the leader's decision stream:
+// It is an obs.EventSink: attached to a run's tracer, it builds its
+// state from the same events every other observer sees, and does two
+// things with the SwapDecision events that carry their decider's Input:
 //
 //   - Payback realization. Every committed swap carries a predicted
 //     payback distance and, implicitly, a predicted post-swap iteration
@@ -31,10 +33,10 @@
 //
 // Like the TelemetryHub, the Lens is nil-safe and atomic-gated: a nil
 // or disabled lens makes every observation a no-op, keeping the
-// swap-point hot path at its unaudited cost. Timestamps are supplied by
-// callers (wall seconds live, virtual seconds under the simulator), so
-// the same lens produces byte-identical event streams from simulated
-// runs.
+// swap-point hot path at its unaudited cost. Lens events take the T of
+// the decision event that produced them (wall seconds live, virtual
+// seconds under the simulator), so the same lens produces
+// byte-identical event streams from simulated runs.
 package policylens
 
 import (
@@ -95,9 +97,9 @@ type Config struct {
 	// histogram; nil keeps a private registry.
 	Registry *obs.Registry
 	// Clock reports seconds since application start for Report
-	// timestamps only (every observation carries its own timestamp).
-	// Nil reports the latest observed timestamp, which keeps simulated
-	// reports deterministic.
+	// timestamps only (every event carries its own timestamp). Nil
+	// reports the latest observed decision's timestamp, which keeps
+	// simulated reports deterministic.
 	Clock func() float64
 }
 
@@ -180,16 +182,6 @@ func (r Report) MispredictFraction() float64 {
 		return 0
 	}
 	return float64(r.Mispredicts) / float64(r.Realized)
-}
-
-// Decision is one primary decision handed to the lens: the input the
-// decider saw, when, and what it concluded.
-type Decision struct {
-	T     float64           // decision timestamp (seconds since start)
-	Epoch uint64            // epoch the decision was made in (pre-swap)
-	Input core.DecideInput  // the exact input shadow policies replay
-	Eval  *core.Explanation // primary verdict explanation (nil = unexplained)
-	Swaps int               // directives the primary ordered
 }
 
 // lensCounters are the registry handles ("lens.*").
@@ -278,31 +270,65 @@ func (l *Lens) SetEnabled(on bool) {
 	}
 }
 
-// on reports whether observations should be recorded.
+// on reports whether events should be recorded.
 func (l *Lens) on() bool { return l != nil && l.enabled.Load() }
 
-// Enabled reports whether the lens is recording; callers use it to skip
-// building observation payloads on the hot path. Nil-safe.
-func (l *Lens) Enabled() bool { return l.on() }
-
-// ObserveDecision records one primary decision, replays the shadow
-// panel over the same input, and — when the primary ordered swaps —
-// arms a payback prediction for the proposed epoch (activated by
-// ObserveOutcome).
-func (l *Lens) ObserveDecision(d Decision) {
+// Observe implements obs.EventSink. Every event first gets the chance
+// to settle the proposed swap round (Settle, the rule Audit applies
+// offline): a commit starts realization tracking, an abort drops it. A
+// SwapDecision carrying its decider Input then feeds its iteration time
+// to every tracked prediction, replays the shadow panel over the same
+// input and, when the primary ordered swaps, arms a payback prediction
+// for the epoch it proposes. Decisions without an Input (the
+// simulator's random-selection ablation) are not audited.
+func (l *Lens) Observe(ev obs.Event) {
 	if !l.on() {
 		return
 	}
 	l.mu.Lock()
+	if p := l.proposed; p != nil {
+		switch Settle(ev, p.epoch) {
+		case Committed:
+			l.proposed = nil
+			l.commits++
+			l.c.commits.Inc()
+			l.tracking = append(l.tracking, p)
+			if len(l.tracking) > maxOpen {
+				l.tracking = l.tracking[1:]
+			}
+		case Aborted:
+			l.proposed = nil
+			l.aborts++
+			l.c.aborts.Inc()
+		}
+	}
+	if ev.Kind != obs.KindSwapDecision || ev.Input == nil {
+		l.mu.Unlock()
+		return
+	}
+	if ev.T > l.lastT {
+		l.lastT = ev.T
+	}
+	events := l.sampleLocked(ev.T, ev.IterTime)
+	events = append(events, l.decideLocked(ev)...)
+	tr := l.cfg.Tracer
+	l.mu.Unlock()
+	for _, e := range events {
+		tr.Emit(e)
+	}
+}
+
+// decideLocked counts one primary decision, replays the shadow panel
+// over its input and arms a payback prediction when the primary ordered
+// swaps. The decision event's Verdict is the decider's own, so forced
+// evictions in its Swaps count never reach the scoreboard.
+func (l *Lens) decideLocked(d obs.Event) []obs.Event {
 	l.decisions++
 	l.c.decisions.Inc()
-	if d.T > l.lastT {
-		l.lastT = d.T
-	}
 	var events []obs.Event
-	primarySwap := d.Swaps > 0
+	primarySwap := d.Verdict == "swap"
 	for _, sh := range l.shadow {
-		pairs, exp := sh.pol.DecideExplained(d.Input)
+		pairs, exp := sh.pol.DecideExplained(*d.Input)
 		shadowSwap := len(pairs) > 0
 		sh.score.Decisions++
 		l.c.shadowEvals.Inc()
@@ -317,10 +343,9 @@ func (l *Lens) ObserveDecision(d Decision) {
 		default: // shadow stays, primary swapped
 			sh.score.WouldStay++
 			l.c.divergences.Inc()
-			if e := d.Eval; e != nil {
-				// Staying forgoes the primary's estimated gain.
-				delta = -l.regretLocked(e.OldPerf, e.NewPerf, e.Payback)
-			}
+			// Staying forgoes the primary's estimated gain (zero when
+			// the decider explained nothing).
+			delta = -l.regretLocked(d.OldPerf, d.NewPerf, d.Payback)
 		}
 		if delta > 0 {
 			sh.score.ItersWon += delta
@@ -342,23 +367,19 @@ func (l *Lens) ObserveDecision(d Decision) {
 			})
 		}
 	}
-	if primarySwap && d.Eval != nil && d.Eval.NewPerf > d.Eval.OldPerf && d.Eval.OldPerf > 0 {
+	if primarySwap && d.NewPerf > d.OldPerf && d.OldPerf > 0 {
 		l.proposed = &prediction{
 			epoch:       d.Epoch + 1,
 			t0:          d.T,
 			oldIter:     d.Input.IterTime,
-			predIter:    d.Input.IterTime * d.Eval.OldPerf / d.Eval.NewPerf,
-			predPayback: d.Eval.Payback,
+			predIter:    d.Input.IterTime * d.OldPerf / d.NewPerf,
+			predPayback: d.Payback,
 			swapTime:    d.Input.SwapTime,
-			oldPerf:     d.Eval.OldPerf,
-			newPerf:     d.Eval.NewPerf,
+			oldPerf:     d.OldPerf,
+			newPerf:     d.NewPerf,
 		}
 	}
-	tr := l.cfg.Tracer
-	l.mu.Unlock()
-	for _, ev := range events {
-		tr.Emit(ev)
-	}
+	return events
 }
 
 // regretLocked estimates the iterations won by taking a swap with the
@@ -373,46 +394,13 @@ func (l *Lens) regretLocked(oldPerf, newPerf, payback float64) float64 {
 	return s * (l.cfg.Horizon - payback)
 }
 
-// ObserveOutcome records the two-phase outcome of the proposed epoch:
-// committed > 0 activates the armed prediction for realization;
-// committed == 0 drops it as an aborted round.
-func (l *Lens) ObserveOutcome(t float64, epoch uint64, committed, aborted int) {
-	if !l.on() {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if t > l.lastT {
-		l.lastT = t
-	}
-	p := l.proposed
-	if p == nil || p.epoch != epoch {
-		return
-	}
-	l.proposed = nil
-	if committed <= 0 {
-		l.aborts++
-		l.c.aborts.Inc()
-		return
-	}
-	l.commits++
-	l.c.commits.Inc()
-	l.tracking = append(l.tracking, p)
-	if len(l.tracking) > maxOpen {
-		l.tracking = l.tracking[1:]
-	}
-}
-
-// ObserveIteration feeds one post-decision iteration time (the leader's
-// measurement at a swap point) into every tracked prediction; a
-// prediction that has collected its window is scored and emitted.
-func (l *Lens) ObserveIteration(t, iterTime float64) {
-	if !l.on() || iterTime <= 0 {
-		return
-	}
-	l.mu.Lock()
-	if t > l.lastT {
-		l.lastT = t
+// sampleLocked feeds one iteration time (the decision's measurement)
+// into every tracked prediction; a prediction that has collected its
+// window is scored, and its events are returned for emission after the
+// lock drops.
+func (l *Lens) sampleLocked(t, iterTime float64) []obs.Event {
+	if iterTime <= 0 {
+		return nil
 	}
 	var events []obs.Event
 	keep := l.tracking[:0]
@@ -425,11 +413,7 @@ func (l *Lens) ObserveIteration(t, iterTime float64) {
 		events = append(events, l.realizeLocked(t, p)...)
 	}
 	l.tracking = keep
-	tr := l.cfg.Tracer
-	l.mu.Unlock()
-	for _, ev := range events {
-		tr.Emit(ev)
-	}
+	return events
 }
 
 // realizeLocked scores one fully sampled prediction, updates the error

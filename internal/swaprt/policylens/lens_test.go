@@ -20,12 +20,36 @@ func swapInput() core.DecideInput {
 	}
 }
 
-// decideWith runs the primary policy over in and hands the verdict to
-// the lens the way the swap manager does.
-func decideWith(l *Lens, pol core.Policy, t float64, epoch uint64, in core.DecideInput) int {
+// decision is the SwapDecision event a decider emits for pol's verdict
+// on in, carrying the input the lens replays.
+func decision(pol core.Policy, t float64, epoch uint64, in core.DecideInput) obs.Event {
 	pairs, exp := pol.DecideExplained(in)
-	l.ObserveDecision(Decision{T: t, Epoch: epoch, Input: in, Eval: &exp, Swaps: len(pairs)})
-	return len(pairs)
+	return obs.Event{Kind: obs.KindSwapDecision, Rank: obs.RankRuntime, T: t, Epoch: epoch,
+		IterTime: in.IterTime, SwapTime: in.SwapTime, Swaps: len(pairs),
+		OldPerf: exp.OldPerf, NewPerf: exp.NewPerf, Payback: exp.Payback,
+		Verdict: exp.Verdict, Reason: exp.Reason, Input: &in}
+}
+
+// decideWith feeds the lens pol's decision on in and reports the swaps
+// it ordered.
+func decideWith(l *Lens, pol core.Policy, t float64, epoch uint64, in core.DecideInput) int {
+	ev := decision(pol, t, epoch, in)
+	l.Observe(ev)
+	return ev.Swaps
+}
+
+// commit is the runtime's commit evidence for epoch: the leader's
+// SwapCommit record.
+func commit(t float64, epoch uint64) obs.Event {
+	return obs.Event{Kind: obs.KindSwapCommit, Rank: 0, Peer: 2, T: t, Epoch: epoch}
+}
+
+// sample is a later swap point at epoch measuring iterTime: a stay
+// decision (no spares left), whose iteration time every tracked
+// prediction collects.
+func sample(l *Lens, t float64, epoch uint64, iterTime float64) {
+	decideWith(l, core.Greedy(), t, epoch, core.DecideInput{
+		Active: []core.Candidate{{ID: 2, Rate: 2.0}}, IterTime: iterTime, SwapTime: 2})
 }
 
 func TestLensRealizesAccuratePrediction(t *testing.T) {
@@ -37,14 +61,14 @@ func TestLensRealizesAccuratePrediction(t *testing.T) {
 	if n := decideWith(l, core.Greedy(), 1.0, 0, in); n != 1 {
 		t.Fatalf("greedy ordered %d swaps, want 1", n)
 	}
-	l.ObserveOutcome(1.1, 1, 1, 0)
+	l.Observe(commit(1.1, 1))
 
 	// The pair halves the bottleneck's iteration contribution: predicted
 	// post-swap iteration time 10*1/2 = 5s, predicted payback
 	// (2/10)/(1-1/2) = 0.4 iterations. Feed exactly the predicted
 	// iteration times: realized payback 2/(10-5) = 0.4, error 0.
-	l.ObserveIteration(11, 5)
-	l.ObserveIteration(21, 5)
+	sample(l, 11, 1, 5)
+	sample(l, 21, 1, 5)
 
 	rep := l.Report()
 	if rep.Realized != 1 || rep.Mispredicts != 0 {
@@ -79,11 +103,11 @@ func TestLensFlagsNeverPayingSwap(t *testing.T) {
 	l := New(Config{RealizeAfter: 2})
 	in := swapInput()
 	decideWith(l, core.Greedy(), 1.0, 0, in)
-	l.ObserveOutcome(1.1, 1, 1, 0)
+	l.Observe(commit(1.1, 1))
 
 	// Post-swap iterations as slow as before: the swap never pays back.
-	l.ObserveIteration(11, 10)
-	l.ObserveIteration(21, 10)
+	sample(l, 11, 1, 10)
+	sample(l, 21, 1, 10)
 
 	rep := l.Report()
 	if rep.Realized != 1 || rep.Mispredicts != 1 {
@@ -100,9 +124,11 @@ func TestLensFlagsNeverPayingSwap(t *testing.T) {
 func TestLensDropsAbortedProposal(t *testing.T) {
 	l := New(Config{RealizeAfter: 1})
 	decideWith(l, core.Greedy(), 1.0, 0, swapInput())
-	l.ObserveOutcome(1.1, 1, 0, 1) // every directive aborted
+	// Every directive aborted: the leader quarantines the spare and the
+	// run stays in epoch 0.
+	l.Observe(obs.Event{Kind: obs.KindQuarantine, Rank: 0, Peer: 2, T: 1.1, Epoch: 0})
 
-	l.ObserveIteration(11, 5)
+	sample(l, 11, 0, 5)
 	rep := l.Report()
 	if rep.Aborts != 1 || rep.Commits != 0 || rep.Realized != 0 {
 		t.Fatalf("aborts=%d commits=%d realized=%d, want 1/0/0",
@@ -196,13 +222,9 @@ func TestLensShadowEventsEmitted(t *testing.T) {
 
 func TestLensNilAndDisabledAreInert(t *testing.T) {
 	var nilLens *Lens
-	nilLens.ObserveIteration(1, 1)
-	nilLens.ObserveDecision(Decision{})
-	nilLens.ObserveOutcome(1, 1, 1, 0)
+	nilLens.Observe(decision(core.Greedy(), 1.0, 0, swapInput()))
+	nilLens.Observe(commit(1.1, 1))
 	nilLens.SetEnabled(true)
-	if nilLens.Enabled() {
-		t.Fatal("nil lens reports enabled")
-	}
 	if rep := nilLens.Report(); rep.Enabled || rep.Shadow == nil {
 		t.Fatalf("nil lens report %+v", rep)
 	}
@@ -221,8 +243,8 @@ func TestLensNilAndDisabledAreInert(t *testing.T) {
 func TestLensReportJSONSafe(t *testing.T) {
 	l := New(Config{RealizeAfter: 1})
 	decideWith(l, core.Greedy(), 1.0, 0, swapInput())
-	l.ObserveOutcome(1.1, 1, 1, 0)
-	l.ObserveIteration(11, 10) // never pays back
+	l.Observe(commit(1.1, 1))
+	sample(l, 11, 1, 10) // never pays back
 
 	if _, err := json.Marshal(l.Report()); err != nil {
 		t.Fatalf("report not JSON-encodable: %v", err)
@@ -243,25 +265,58 @@ func TestLensHandlerServesReport(t *testing.T) {
 	}
 }
 
+// TestLensIgnoresDecisionWithoutInput pins the replay contract: a
+// decision that does not carry its decider's input cannot be replayed,
+// so the lens neither counts it nor arms a prediction from it.
+func TestLensIgnoresDecisionWithoutInput(t *testing.T) {
+	l := New(Config{RealizeAfter: 1})
+	ev := decision(core.Greedy(), 1.0, 0, swapInput())
+	ev.Input = nil
+	l.Observe(ev)
+	l.Observe(commit(1.1, 1))
+	rep := l.Report()
+	if rep.Decisions != 0 || rep.Commits != 0 || rep.Tracking != 0 || rep.ShadowDecisions() != 0 {
+		t.Fatalf("input-less decision was audited: %+v", rep)
+	}
+}
+
+// TestLensSettlesAtNextDecision covers the swap manager's view: it sees
+// no commit or quarantine, only the next request, whose epoch tells
+// whether the proposed round landed.
+func TestLensSettlesAtNextDecision(t *testing.T) {
+	l := New(Config{RealizeAfter: 1})
+	decideWith(l, core.Greedy(), 1.0, 0, swapInput()) // proposes epoch 1
+	sample(l, 2.0, 0, 10)                             // still epoch 0: aborted
+	decideWith(l, core.Greedy(), 3.0, 0, swapInput()) // proposes epoch 1 again
+	sample(l, 4.0, 1, 5)                              // epoch 1: committed, and sampled
+	rep := l.Report()
+	if rep.Aborts != 1 || rep.Commits != 1 || rep.Realized != 1 || rep.Mispredicts != 0 {
+		t.Fatalf("aborts=%d commits=%d realized=%d mispredicts=%d, want 1/1/1/0",
+			rep.Aborts, rep.Commits, rep.Realized, rep.Mispredicts)
+	}
+}
+
 // BenchmarkLensDisabled pins the disabled-path overhead the acceptance
-// criteria record in BENCH_obs.json: one atomic load per observation,
-// no allocations.
+// criteria record in BENCH_obs.json: one atomic load per event, no
+// allocations.
 func BenchmarkLensDisabled(b *testing.B) {
 	l := New(Config{})
 	l.SetEnabled(false)
+	ev := decision(core.Greedy(), 1.0, 0, swapInput())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.ObserveIteration(float64(i), 1)
+		l.Observe(ev)
 	}
 }
 
 // BenchmarkLensNil pins the nil-lens cost (the default configuration).
 func BenchmarkLensNil(b *testing.B) {
 	var l *Lens
+	ev := decision(core.Greedy(), 1.0, 0, swapInput())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.ObserveIteration(float64(i), 1)
+		l.Observe(ev)
 	}
 }

@@ -104,12 +104,12 @@ type Config struct {
 	// load per event.
 	Telemetry *TelemetryHub
 
-	// Lens, when set, audits the leader's swap decisions online: it
-	// replays shadow policies over every DecideInput and scores each
-	// committed swap's predicted payback against the realized post-swap
-	// iteration times. Nil (the default) records nothing; a set but
-	// disabled lens costs one atomic load per observation. Only the
-	// leader's session feeds it.
+	// Lens, when set, audits the leader's swap decisions online from the
+	// run's events, like Telemetry: it replays shadow policies over every
+	// SwapDecision's DecideInput and scores each committed swap's
+	// predicted payback against the realized post-swap iteration times.
+	// Nil (the default) records nothing; a set but disabled lens costs
+	// one atomic load per event.
 	Lens *policylens.Lens
 }
 
@@ -245,8 +245,9 @@ func duration(sec float64) time.Duration {
 }
 
 // runTracer builds the run's event stream, which buffers nothing and fans
-// out to Config.Tracer, the RunStats counters and the hub. It is never set
-// on the world, so MPI operations emit only when Config.Tracer is set.
+// out to Config.Tracer, the RunStats counters, the hub and the lens. It is
+// never set on the world, so MPI operations emit only when Config.Tracer
+// is set.
 // Events carry Config.Tracer's clock when there is one, else Config.Time's.
 func runTracer(cfg Config, rc *runCounters) *obs.Tracer {
 	clk := clock.Seconds(cfg.Time)
@@ -260,6 +261,9 @@ func runTracer(cfg Config, rc *runCounters) *obs.Tracer {
 	tr.AttachSink(rc)
 	if cfg.Telemetry != nil {
 		tr.AttachSink(cfg.Telemetry)
+	}
+	if cfg.Lens != nil {
+		tr.AttachSink(cfg.Lens)
 	}
 	return tr
 }
@@ -632,11 +636,10 @@ func (s *Session) swapPointActive() error {
 	if s.comm.Rank() == 0 {
 		swapTime := core.SwapTime(*s.cfg.LinkLatency, *s.cfg.LinkBandwidth, s.stateSizeEstimate())
 		t0 := s.tr.Now()
-		resp, err := s.mgr.decide(s.epoch, now, s.activeSet, rates, s.r.Size(), iterTime, swapTime)
+		resp, ev, err := s.mgr.decide(s.epoch, now, s.activeSet, rates, s.r.Size(), iterTime, swapTime)
 		if err != nil {
 			return err
 		}
-		ev := resp.DecisionEvent(s.epoch, iterTime, swapTime)
 		ev.Rank, ev.T, ev.Dur = s.r.Rank(), t0, s.tr.Now()-t0
 		s.tr.Emit(ev)
 		s.cfg.Logf("rank %d decision: %d swaps in %s (epoch %d)",
@@ -759,16 +762,6 @@ func (s *Session) swapPointActive() error {
 			s.cfg.Logf("rank %d quarantined after failed swap-in (rank %d keeps running)",
 				sw.In, sw.Out)
 		}
-		// Close the audit loop: the lens learns whether the proposed
-		// epoch landed, activating (or dropping) its armed payback
-		// prediction.
-		nCommitted := 0
-		for i := range plan.Swaps {
-			if committed[i] {
-				nCommitted++
-			}
-		}
-		s.cfg.Lens.ObserveOutcome(now, plan.NewEpoch, nCommitted, len(plan.Swaps)-nCommitted)
 		// Close the loop with the decision service: the agreed outcome
 		// (commit or abort, plus the quarantines) becomes durable manager
 		// state. Best-effort — a manager that misses it reconciles from

@@ -499,7 +499,7 @@ func TestManagerValidatesDirectives(t *testing.T) {
 		return DecideResponse{Swaps: []SwapDirective{{Out: 5, In: 0}}}, nil
 	})
 	m := newManager(2, Config{Probe: func(int) float64 { return 1 }}.fill(), bogus)
-	_, err := m.decide(0, 1, []int{0}, []float64{1}, 2, 10, 1)
+	_, _, err := m.decide(0, 1, []int{0}, []float64{1}, 2, 10, 1)
 	if err == nil {
 		t.Fatal("invalid directive accepted")
 	}

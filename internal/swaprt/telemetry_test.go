@@ -80,7 +80,7 @@ func TestTelemetryHubReport(t *testing.T) {
 	h.Observe(obs.Event{Kind: obs.KindHandlerProbe, Rank: 0, Value: 123})
 	dec := DecideResponse{Swaps: []SwapDirective{{Out: 1, In: 3}, {Out: 0, In: 2}},
 		Eval: &core.Explanation{Verdict: "swap", Reason: "gain", Payback: 3.5}}
-	ev := dec.DecisionEvent(0, 0.8, 0.01)
+	ev := dec.DecisionEvent(DecideRequest{IterTime: 0.8, SwapTime: 0.01})
 	ev.Dur = 0.002
 	h.Observe(ev)
 	h.Observe(obs.Event{Kind: obs.KindSwapCommit, Rank: 1, Peer: 3, Epoch: 1})
