@@ -110,6 +110,11 @@ trace-smoke:
 # spinning, injection delays, retry backoffs, transfer deadlines — is in
 # virtual time, so the timeouts are generous in virtual units (2s per
 # transfer leg) yet cost 1/25th of that on the wall.
+#
+# The last leg is the seeded soak: the same plan over 50 fresh runs
+# (swaprun -scenarios), each slowing a different active rank at a
+# different iteration. swaprun exits non-zero unless every scenario
+# finishes with every surviving active lane exact.
 chaos-smoke:
 	mkdir -p results
 	$(GO) run ./cmd/swaprun -ranks 3 -active 1 -iters 25 -work 5 \
@@ -117,6 +122,9 @@ chaos-smoke:
 		-chaos 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6' \
 		-transfer-timeout 2s -accel 25 -trace-out results/trace-chaos.json
 	$(GO) run ./cmd/tracecheck -chaos results/trace-chaos.json
+	$(GO) run ./cmd/swaprun -scenarios 50 -ranks 4 -active 2 -iters 30 -work 1 \
+		-accel 50 -lens -transfer-timeout 2s \
+		-chaos 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6'
 
 # Live-monitoring smoke (DESIGN.md §14): a fault-injected run serves
 # /metrics, /telemetry and /healthz on -debug-addr while swapmon -once

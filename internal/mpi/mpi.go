@@ -144,26 +144,6 @@ func (m *mailbox) popDeadline(clk clock.Clock, comm uint64, src, tag int, deadli
 	}
 }
 
-// peek reports whether a matching message is queued, without removing
-// it.
-func (m *mailbox) peek(comm uint64, src, tag int) (envelope, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, env := range m.queue {
-		if env.Comm != comm {
-			continue
-		}
-		if src != AnySource && env.Src != src {
-			continue
-		}
-		if tag != AnyTag && env.Tag != tag {
-			continue
-		}
-		return env, true
-	}
-	return envelope{}, false
-}
-
 func (m *mailbox) close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()

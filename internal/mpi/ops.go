@@ -143,7 +143,10 @@ func (c *Comm) Iprobe(from, tag int) (bool, Status) {
 		}
 		srcWorld = c.members[from]
 	}
-	env, ok := c.w.boxes[c.me].peek(c.id, srcWorld, tag)
+	box := c.w.boxes[c.me]
+	box.mu.Lock()
+	env, ok := box.match(c.id, srcWorld, tag, false)
+	box.mu.Unlock()
 	if !ok {
 		return false, Status{}
 	}

@@ -236,6 +236,50 @@ func TestIprobe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	// Non-overtaking for probes: with two messages queued on one tag from
+	// different sources, Iprobe(AnySource, tag) reports the older one.
+	// Rank 1 sends first, then releases rank 2, whose message follows; a
+	// sync message behind rank 2's proves both are queued at rank 0.
+	w = NewWorld(3)
+	err = w.Run(func(r *Rank) error {
+		c := r.World()
+		switch r.Rank() {
+		case 1:
+			if err := c.Send(0, 6, []byte("older")); err != nil {
+				return err
+			}
+			return c.Send(2, 9, nil)
+		case 2:
+			if _, _, err := c.Recv(1, 9); err != nil {
+				return err
+			}
+			if err := c.Send(0, 6, []byte("newer")); err != nil {
+				return err
+			}
+			return c.Send(0, 7, nil)
+		}
+		if _, _, err := c.Recv(2, 7); err != nil {
+			return err
+		}
+		ok, st := c.Iprobe(AnySource, 6)
+		if !ok || st.Source != 1 || st.Tag != 6 {
+			return fmt.Errorf("Iprobe(AnySource, 6) = %v %+v, want the older message from rank 1", ok, st)
+		}
+		for _, want := range []string{"older", "newer"} {
+			data, _, err := c.Recv(AnySource, 6)
+			if err != nil {
+				return err
+			}
+			if string(data) != want {
+				return fmt.Errorf("Recv(AnySource, 6) = %q, want %q", data, want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestPackPartsRoundTrip(t *testing.T) {

@@ -96,11 +96,6 @@ type Config struct {
 	// Registry receives the lens.* counters and the prediction-error
 	// histogram; nil keeps a private registry.
 	Registry *obs.Registry
-	// Clock reports seconds since application start for Report
-	// timestamps only (every event carries its own timestamp). Nil
-	// reports the latest observed decision's timestamp, which keeps
-	// simulated reports deterministic.
-	Clock func() float64
 }
 
 // prediction is one committed (or proposed) swap awaiting realization.
@@ -149,7 +144,7 @@ type Realization struct {
 // Report is the /policy JSON document.
 type Report struct {
 	Enabled   bool    `json:"enabled"`
-	Now       float64 `json:"now"`
+	Now       float64 `json:"now"` // the latest decision's timestamp
 	Tolerance float64 `json:"tolerance"`
 
 	Decisions int `json:"decisions"` // primary decisions observed
@@ -498,13 +493,9 @@ func (l *Lens) Report() Report {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.lastT
-	if l.cfg.Clock != nil {
-		now = l.cfg.Clock()
-	}
 	rep := Report{
 		Enabled:   true,
-		Now:       now,
+		Now:       l.lastT,
 		Tolerance: l.cfg.Tolerance,
 		Decisions: l.decisions,
 		Commits:   l.commits,

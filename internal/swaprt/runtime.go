@@ -441,6 +441,9 @@ func RunWithStats(world *mpi.World, cfg Config, body func(s *Session) error) (Ru
 		err := body(s)
 		if err != nil {
 			mgr.finish()
+			// Nor may it leave actives blocked in a receive from it: the
+			// world closes and their pending operations fail instead.
+			world.Close()
 		}
 		return err
 	})
