@@ -2,6 +2,7 @@
 # Standard library only; every target is plain `go` tooling.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build vet lint test race bench bench-transport bench-all figures ablations extensions check fuzz trace-smoke chaos-smoke mon-smoke postmortem-smoke failover-smoke lens-smoke smoke-timing clean
 
@@ -13,11 +14,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis (cmd/swapvet): determinism of the
-# simulation/figure packages, lock/I-O discipline, conn deadlines, and
-# unchecked MPI errors. Exits non-zero on any finding. DESIGN.md §11
-# documents each rule; suppress intentional cases with //swapvet:ignore.
+# gofmt over every tracked Go file (any file it would reformat fails
+# the target), then the project-specific static analysis (cmd/swapvet):
+# determinism of the simulation/figure packages, lock/I-O discipline,
+# conn deadlines, and unchecked MPI errors. Exits non-zero on any
+# finding. DESIGN.md §11 documents each rule; suppress intentional cases
+# with //swapvet:ignore.
 lint:
+	@FILES=$$(git ls-files '*.go') && UNFORMATTED=$$($(GOFMT) -l $$FILES) && \
+	if [ -n "$$UNFORMATTED" ]; then \
+		echo "lint: gofmt would reformat:"; echo "$$UNFORMATTED"; exit 1; \
+	fi
 	$(GO) run ./cmd/swapvet ./...
 
 # The concurrency-heavy packages (transport, runtime) run under the race
@@ -84,27 +91,31 @@ check: lint
 	$(GO) run ./cmd/swapexp -check
 
 # End-to-end trace validation: a 2-rank live run with an injected
-# slowdown that forces a swap, exported as a Chrome/Perfetto trace, then
-# checked by cmd/tracecheck (trace_event schema + a SwapDecision with
-# payback distance and policy verdict). A virtual-clock simulation trace
-# is validated the same way.
+# slowdown that forces a swap, exported as a Chrome/Perfetto trace and
+# a JSONL event log, then checked by cmd/tracecheck (trace_event schema
+# of the Chrome file, the analysis report and its always-on invariants
+# over the event log, and -require decision: a SwapDecision with payback
+# distance and policy verdict). A virtual-clock simulation trace is
+# validated the same way.
 trace-smoke:
 	mkdir -p results
 	$(GO) run ./cmd/swaprun -ranks 2 -active 1 -iters 20 -work 10 \
 		-inject 0@0.05:8 -trace-out results/trace-smoke-live.json \
 		-events-out results/trace-smoke-live.jsonl
-	$(GO) run ./cmd/tracecheck results/trace-smoke-live.json
+	$(GO) run ./cmd/tracecheck -require decision \
+		results/trace-smoke-live.json results/trace-smoke-live.jsonl
 	$(GO) run ./cmd/swapsim -tech swap -hosts 6 -active 2 -iters 10 -seed 63 \
-		-trace-out results/trace-smoke-sim.json
-	$(GO) run ./cmd/tracecheck results/trace-smoke-sim.json
+		-trace-out results/trace-smoke-sim.json -events-out results/trace-smoke-sim.jsonl
+	$(GO) run ./cmd/tracecheck -require decision \
+		results/trace-smoke-sim.json results/trace-smoke-sim.jsonl
 
 # Fault-injected end-to-end run (DESIGN.md §13): the fastest spare dies
 # mid-run (its swap must abort and quarantine it), the decision service
 # goes down for a window (the circuit breaker must open, probe, and
 # close), and the run must still finish with the exact fault-free
 # result — swaprun exits non-zero on a corrupted accumulator. tracecheck
-# -chaos then requires the quarantine and circuit-recovery evidence in
-# the exported trace.
+# -require decision,quarantine,circuit then requires the decision,
+# quarantine and circuit-recovery evidence in the exported event log.
 #
 # The run rides a 25x scaled clock (DESIGN.md §16): every wait — work
 # spinning, injection delays, retry backoffs, transfer deadlines — is in
@@ -120,8 +131,10 @@ chaos-smoke:
 	$(GO) run ./cmd/swaprun -ranks 3 -active 1 -iters 25 -work 5 \
 		-inject '0@0.05:8,1@0:4' \
 		-chaos 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6' \
-		-transfer-timeout 2s -accel 25 -trace-out results/trace-chaos.json
-	$(GO) run ./cmd/tracecheck -chaos results/trace-chaos.json
+		-transfer-timeout 2s -accel 25 -trace-out results/trace-chaos.json \
+		-events-out results/trace-chaos.jsonl
+	$(GO) run ./cmd/tracecheck -require decision,quarantine,circuit \
+		results/trace-chaos.json results/trace-chaos.jsonl
 	$(GO) run ./cmd/swaprun -scenarios 50 -ranks 4 -active 2 -iters 30 -work 1 \
 		-accel 50 -lens -transfer-timeout 2s \
 		-chaos 'seed=7;die:rank=2,iter=3;mgrdown:after=2,count=6'
@@ -155,9 +168,9 @@ mon-smoke:
 # causal tracing and the flight recorder armed. The mid-run manager
 # outage forces swap aborts; each abort dumps every rank's recent event
 # window to results/flight/. The gate requires a dump per rank, then
-# feeds the dumps to tracecheck -postmortem, which must merge them into
-# one causally ordered cross-rank timeline whose validations pass and
-# which contains the abort evidence (-require-abort).
+# feeds the dump directory to tracecheck, which merges the dumps into
+# one causally ordered cross-rank timeline whose validations must pass
+# and which must contain the abort evidence (-require abort).
 postmortem-smoke:
 	mkdir -p results/flight
 	rm -f results/flight/flight-*.jsonl
@@ -171,17 +184,18 @@ postmortem-smoke:
 			echo "postmortem-smoke: FAIL - no flight dump for rank $$r"; exit 1; \
 		fi; \
 	done
-	$(GO) run ./cmd/tracecheck -postmortem -require-abort results/flight
+	$(GO) run ./cmd/tracecheck -require abort results/flight
 
 # Manager-failover smoke (DESIGN.md §18): a durable-store run where the
 # chaos plan SIGKILLs the manager after its 4th call — mid two-phase
 # swap, with a proposal already fsynced to the WAL — and restarts it
 # 100ms (virtual) later. The run must finish with the exact fault-free
 # result (swaprun exits non-zero on a corrupted accumulator), and
-# tracecheck -failover requires the restart-recovery evidence in the
-# trace: an MgrCrash, a later MgrRecover whose detail proves a non-empty
-# WAL replay, decision epochs that never step backwards (epoch fencing),
-# and decisions after the recovery. The injected slowdown guarantees a
+# tracecheck -require decision,failover requires the restart-recovery
+# evidence in the event log: an MgrCrash, a later MgrRecover whose
+# detail proves a non-empty WAL replay, and decisions after the
+# recovery; decision epochs that never step backwards (epoch fencing)
+# are checked on every trace. The injected slowdown guarantees a
 # swap proposal lands in the WAL before the kill; the 250ms lease (in
 # virtual time, on the 25x clock) keeps takeover fast.
 failover-smoke:
@@ -191,16 +205,19 @@ failover-smoke:
 		-inject '1@0.02:8' \
 		-chaos 'seed=7;mgrrestart:after=4,downms=100' \
 		-mgr-store results/failover-store -mgr-lease-ttl 250ms \
-		-accel 25 -trace-out results/trace-failover.json
-	$(GO) run ./cmd/tracecheck -failover results/trace-failover.json
+		-accel 25 -trace-out results/trace-failover.json \
+		-events-out results/trace-failover.jsonl
+	$(GO) run ./cmd/tracecheck -require decision,failover \
+		results/trace-failover.json results/trace-failover.jsonl
 
 # Policy-lens smoke (DESIGN.md §19): the observability loop end to end.
 # First leg: the trace-smoke live shape re-run with -lens, exporting the
 # JSONL event log — the lens must have armed a payback prediction at the
 # forced swap, realized it, and replayed the shadow panel; tracecheck
-# -audit replays the whole log offline and fails on any bookkeeping
-# violation (committed swap without a realized payback, realization for
-# an epoch that never committed, ok-verdict contradicting its own error).
+# -require decision,lens demands the lens events, replays the whole log
+# offline and fails on any bookkeeping violation (committed swap
+# without a realized payback, realization for an epoch that never
+# committed, ok-verdict contradicting its own error).
 # Second leg: the same offline audit over a simulated run, whose lens
 # is attached to the kernel tracer and audits on the virtual clock.
 # Third leg: the mon-smoke shape with -lens serving /telemetry while
@@ -210,10 +227,10 @@ lens-smoke:
 	mkdir -p results
 	$(GO) run ./cmd/swaprun -ranks 2 -active 1 -iters 20 -work 10 \
 		-inject 0@0.05:8 -lens -events-out results/lens-events.jsonl
-	$(GO) run ./cmd/tracecheck -audit results/lens-events.jsonl
+	$(GO) run ./cmd/tracecheck -require decision,lens results/lens-events.jsonl
 	$(GO) run ./cmd/swapsim -tech swap -hosts 6 -active 2 -iters 10 -seed 63 \
 		-lens -events-out results/lens-sim.jsonl
-	$(GO) run ./cmd/tracecheck -audit results/lens-sim.jsonl
+	$(GO) run ./cmd/tracecheck -require decision,lens results/lens-sim.jsonl
 	$(GO) build -o results/lens-swaprun ./cmd/swaprun
 	$(GO) build -o results/lens-swapmon ./cmd/swapmon
 	./results/lens-swaprun -ranks 3 -active 1 -iters 1000 -work 5 \

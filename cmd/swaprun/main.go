@@ -110,8 +110,8 @@ type options struct {
 
 	// tm is the one virtual clock that drives everything that waits:
 	// work spinning, load injections, swap timeouts, retry backoffs,
-	// handler tickers and telemetry timestamps. At -accel 1 it is the
-	// wall clock.
+	// handler tickers, and the trace and telemetry timestamps. At
+	// -accel 1 it is the wall clock.
 	tm clock.Clock
 }
 
@@ -385,13 +385,14 @@ func run(o *options, injections []injection, logf func(string, ...any)) (result,
 	}
 	defer world.Close()
 
-	tracer, err := o.obs.Tracer(o.ranks)
+	now := clock.Seconds(tm) // one origin for trace and telemetry timestamps
+	tracer, err := o.obs.Tracer(o.ranks, obs.WithClock(now))
 	if err != nil {
 		return result{}, err
 	}
 	var hub *swaprt.TelemetryHub
 	if o.obs.Telemetry {
-		hub = swaprt.NewTelemetryHub(clock.Seconds(tm))
+		hub = swaprt.NewTelemetryHub(now)
 		world.SetSendLatencySampling(true)
 	}
 	if cz := world.Causal(); cz != nil {

@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // TestParseValidation pins the usage errors: bad sizes and the flag
@@ -158,5 +162,46 @@ func TestSweepFailedScenario(t *testing.T) {
 	}
 	if n := strings.Count(out.String(), "\nscenario "); n != 2 {
 		t.Fatalf("want one line per failed scenario, got %d:\n%s", n, out.String())
+	}
+}
+
+// TestAcceleratedTraceClock: an accelerated run's trace is stamped on the
+// same virtual clock that times its iterations, so the trace span covers
+// every rank's summed IterEnd values instead of the 1/accel wall time the
+// run took.
+func TestAcceleratedTraceClock(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	o, err := parse([]string{"-ranks", "2", "-active", "1", "-iters", "20", "-work", "20",
+		"-inject", "", "-accel", "25", "-events-out", path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := run(o, o.injections, t.Logf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	evs, err := obs.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	span := 0.0
+	iters := map[int]float64{}
+	for _, ev := range evs {
+		span = max(span, ev.T+ev.Dur)
+		if ev.Kind == obs.KindIterEnd {
+			iters[ev.Rank] += ev.Value
+		}
+	}
+	if len(iters) == 0 {
+		t.Fatal("trace has no IterEnd events")
+	}
+	for rank, sum := range iters {
+		if span < sum {
+			t.Errorf("trace span %.4gs is shorter than rank %d's summed iterations %.4gs: the trace runs on another clock", span, rank, sum)
+		}
 	}
 }

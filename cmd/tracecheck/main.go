@@ -1,289 +1,417 @@
-// Command tracecheck validates a Chrome/Perfetto trace_event JSON file
-// produced by -trace-out: every entry must carry the required
-// trace_event keys, and (unless -no-decision) at least one SwapDecision
-// instant must include the payback distance and policy verdict the
-// swapping policy computed. With -chaos it additionally requires the
-// evidence a fault-injected run must leave behind: at least one
-// Quarantine event and a Circuit "open" transition followed by a
-// "close". CI's trace-smoke and chaos-smoke targets run it against
-// fresh swaprun demos.
+// Command tracecheck reads the event logs of one run and prints one
+// report over them. The arguments are JSONL event logs (-events-out),
+// flight-recorder dumps (files or a directory of flight-*.jsonl, as
+// written on a swap abort, quarantine, rank panic or world close), and
+// Chrome trace_event files (-trace-out, *.json), in any mix.
 //
-// With -failover it requires manager-restart evidence instead: at
-// least one MgrCrash followed (in trace time) by a MgrRecover whose
-// detail proves a WAL replay, decision epochs nondecreasing across the
-// whole run (a fenced stale leader can never re-commit an old epoch),
-// and at least one decision after the recovery showing the world kept
-// swapping under the reborn manager. CI's failover-smoke target runs
-// it against an accelerated run that kills swapmgr mid-swap.
+// Several logs are merged into one causally ordered timeline
+// (obs.SortCausal); a single log keeps obs.ReadJSONL's time order. The
+// flight-dump marker events are dump metadata, not run history, and are
+// stripped. A Chrome file is only schema-checked: the typed events it
+// was exported from are the JSONL log's.
 //
-// With -analyze the argument is a JSONL event log (-events-out) instead:
-// tracecheck replays it offline and prints a deterministic analysis
-// report — swap-overhead attribution per the payback algebra, per-round
-// critical path and imbalance, decision latency quantiles, and anomaly
-// windows from the telemetry slowdown detector. The same trace always
-// produces a byte-identical report, so reports diff cleanly across runs.
+// The report is obs.Analyze's deterministic analysis (swap-overhead
+// attribution per the payback algebra, per-round critical path and
+// imbalance, decision latency quantiles, anomaly windows, causal
+// messaging), then policylens.Audit's section when the trace carries
+// lens events, then the merged cross-rank timeline when the inputs are
+// flight dumps. Three violations always exit 1:
 //
-// With -audit the argument is a JSONL event log: tracecheck replays the
-// policy lens contract offline — every committed swap must carry a
-// realized-payback attribution (unless too close to the trace end to
-// score), every realization must be internally consistent with the
-// tolerance, and the shadow-policy scoreboard is summarized per policy.
-// Mispredictions are reported as findings; contract violations exit
-// non-zero. CI's lens-smoke target runs it against a fresh -lens run.
+//   - a causality violation (recv before its send, a Lamport clock or a
+//     rank's swap epoch that steps backwards);
+//   - a lens-contract violation (a committed swap never realized, a
+//     realization for an uncommitted epoch, an "ok" verdict beyond the
+//     tolerance);
+//   - a SwapDecision epoch that steps backwards in time order, which a
+//     fenced stale manager can never cause.
 //
-// With -postmortem the arguments are per-rank flight-recorder dumps
-// (JSONL files or a directory of them, as written on a swap abort,
-// quarantine, rank panic or world close): tracecheck merges them into a
-// single causally-ordered cross-rank timeline using the Lamport clocks
-// piggybacked on messages, prints it, and runs the causality
-// validations (no recv before its send, per-rank Lamport monotonicity,
-// epoch monotonicity) tolerating the bounded-ring truncation of old
-// events. -require-abort additionally demands swap-abort or quarantine
-// evidence, which CI's postmortem-smoke uses against a chaos run.
+// -require names the evidence a smoke demands, checked on the typed
+// events; a missing piece exits 1, an unknown word exits 2:
+//
+//	decision    a SwapDecision with its payback and verdict payload
+//	quarantine  a Quarantine event
+//	circuit     a Circuit "open" followed by a "close"
+//	failover    an MgrCrash, then an MgrRecover that replayed a non-empty
+//	            WAL, then a SwapDecision after that recovery
+//	abort       a SwapAbort or Quarantine event
+//	lens        a ShadowDecision or PaybackRealized event
 //
 // Example:
 //
-//	swaprun -ranks 2 -active 1 -trace-out run.json && tracecheck run.json
-//	swaprun -ranks 2 -active 1 -events-out run.jsonl && tracecheck -analyze run.jsonl
-//	swaprun -chaos '...' -causal -flight-dir flight && tracecheck -postmortem flight
+//	swaprun -ranks 2 -active 1 -events-out run.jsonl && tracecheck -require decision run.jsonl
+//	swaprun -chaos '...' -causal -flight-dir flight && tracecheck -require abort flight
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"sort"
+	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/swaprt/policylens"
 )
 
-func main() {
-	noDecision := flag.Bool("no-decision", false, "skip the SwapDecision payload requirement (traces from runs that never reach a decision point)")
-	chaosCheck := flag.Bool("chaos", false, "require fault-injection evidence: a Quarantine event and a Circuit open followed by a close")
-	failoverCheck := flag.Bool("failover", false, "require manager-restart evidence: MgrCrash then a WAL-replay MgrRecover, nondecreasing decision epochs, and a post-recovery decision")
-	analyze := flag.Bool("analyze", false, "treat the argument as a JSONL event log and print the offline analysis report")
-	audit := flag.Bool("audit", false, "treat the argument as a JSONL event log and verify the policy-lens contract: committed swaps carry realized-payback attribution")
-	auditTolerance := flag.Float64("audit-tolerance", 0, "with -audit, relative payback error counted as a misprediction (0 = lens default)")
-	postmortem := flag.Bool("postmortem", false, "treat the arguments as flight-recorder dumps (files or a directory) and reconstruct the causal cross-rank timeline")
-	requireAbort := flag.Bool("require-abort", false, "with -postmortem, require swap-abort or quarantine evidence in the merged timeline")
-	flag.Parse()
-	if *postmortem {
-		if flag.NArg() < 1 {
-			fmt.Fprintln(os.Stderr, "usage: tracecheck -postmortem [-require-abort] <flight-dir | dump.jsonl...>")
-			os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it returns 0 when the trace holds, 1 on a
+// violation, missing evidence or unreadable input, and 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracecheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	require := fs.String("require", "", "comma-separated evidence the trace must hold: "+evidenceWords())
+	tolerance := fs.Float64("audit-tolerance", 0, "relative payback error the lens audit counts as a misprediction (0 = lens default)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		runPostmortem(flag.Args(), *requireAbort)
-		return
+		return 2
 	}
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-no-decision|-chaos|-failover] <trace.json> | tracecheck -analyze <events.jsonl> | tracecheck -postmortem <flight-dir>")
-		os.Exit(2)
+	checks, err := parseRequire(*require)
+	if err == nil && fs.NArg() == 0 {
+		err = fmt.Errorf("usage: tracecheck [-require word,...] [-audit-tolerance x] <events.jsonl | flight-dir | trace.json>...")
 	}
-	path := flag.Arg(0)
-	if *analyze {
-		runAnalyze(path)
-		return
-	}
-	if *audit {
-		runAudit(path, *auditTolerance)
-		return
-	}
-	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-
-	entries, err := obs.ValidateChromeTrace(f)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
+		fmt.Fprintln(stderr, "tracecheck:", err)
+		return 2
 	}
 
-	decisions := 0
-	complete := 0
-	for _, e := range entries {
-		name, _ := e["name"].(string)
-		if name != obs.KindSwapDecision.String() {
+	in, err := load(fs.Args(), stdout)
+	if err != nil {
+		fmt.Fprintln(stderr, "tracecheck:", err)
+		return 1
+	}
+	var failures []string
+	fail := func(format string, a ...any) { failures = append(failures, fmt.Sprintf(format, a...)) }
+
+	evs := in.events
+	if in.logs > 0 {
+		an := obs.Analyze(evs)
+		fmt.Fprintln(stdout)
+		if err := an.WriteReport(stdout); err != nil {
+			fmt.Fprintln(stderr, "tracecheck:", err)
+			return 1
+		}
+		// Analyze validates causality when the trace carries message
+		// edges; without them the per-rank Lamport and epoch checks still
+		// apply.
+		check, ok := an.Causality()
+		if !ok {
+			check = obs.CheckCausality(evs)
+		}
+		for _, v := range check.Violations {
+			fail("causality: %s", v)
+		}
+	}
+	if count(evs, obs.KindShadowDecision)+count(evs, obs.KindPaybackRealized) > 0 {
+		res := policylens.Audit(evs, policylens.AuditConfig{Tolerance: *tolerance})
+		fmt.Fprintln(stdout)
+		if err := res.WriteReport(stdout); err != nil {
+			fmt.Fprintln(stderr, "tracecheck:", err)
+			return 1
+		}
+		for _, v := range res.Violations {
+			fail("lens contract: %s", v)
+		}
+	}
+	if in.dumps > 0 {
+		fmt.Fprintf(stdout, "\n== causal cross-rank timeline (%d events) ==\n", len(evs))
+		for _, ev := range evs {
+			fmt.Fprintln(stdout, formatEvent(ev))
+		}
+	}
+
+	var epoch uint64 // the previous decision's
+	for _, ev := range evs {
+		if ev.Kind != obs.KindSwapDecision {
+			continue
+		}
+		if ev.Epoch < epoch {
+			fail("decision epoch stepped backwards %d -> %d at t=%.6g: a stale manager escaped the fence",
+				epoch, ev.Epoch, ev.T)
+		}
+		epoch = ev.Epoch
+	}
+
+	fmt.Fprintf(stdout, "\n== evidence ==\n")
+	for _, c := range checks {
+		got, err := c.check(evs)
+		if err != nil {
+			fail("-require %s: %v", c.word, err)
+			continue
+		}
+		fmt.Fprintf(stdout, "%-10s %s\n", c.word, got)
+	}
+	for _, f := range failures {
+		fmt.Fprintf(stdout, "VIOLATION: %s\n", f)
+	}
+	if len(failures) > 0 {
+		fmt.Fprintf(stderr, "tracecheck: FAIL, %d violation(s); first: %s\n", len(failures), failures[0])
+		return 1
+	}
+	fmt.Fprintf(stdout, "tracecheck: ok, %d events\n", len(evs))
+	return 0
+}
+
+// input is the typed event stream read from the arguments.
+type input struct {
+	events []obs.Event
+	logs   int // JSONL files read
+	dumps  int // of those, flight-recorder dumps
+}
+
+// load reads every argument: a directory expands to its *.jsonl files
+// (sorted), a *.json file is schema-checked as a Chrome trace, and any
+// other file is a JSONL event log. It reports each input on w.
+func load(args []string, w io.Writer) (input, error) {
+	var in input
+	var paths []string
+	for _, a := range args {
+		st, err := os.Stat(a)
+		if err != nil {
+			return in, err
+		}
+		if !st.IsDir() {
+			paths = append(paths, a)
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join(a, "*.jsonl"))
+		if err != nil {
+			return in, err
+		}
+		if len(files) == 0 {
+			return in, fmt.Errorf("no *.jsonl event logs in %s", a)
+		}
+		paths = append(paths, files...)
+	}
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return in, err
+		}
+		if strings.HasSuffix(p, ".json") {
+			entries, err := obs.ValidateChromeTrace(f)
+			f.Close()
+			if err != nil {
+				return in, fmt.Errorf("%s: %w", p, err)
+			}
+			fmt.Fprintf(w, "%s: Chrome trace, %d entries, schema ok\n", p, len(entries))
+			continue
+		}
+		evs, err := obs.ReadJSONL(f)
+		f.Close()
+		if err != nil {
+			return in, fmt.Errorf("%s: %w", p, err)
+		}
+		in.logs++
+		kept, reason := evs[:0], ""
+		for _, ev := range evs {
+			if ev.Kind == obs.KindRuntimeError && strings.HasPrefix(ev.Detail, "flight-dump: ") {
+				reason = strings.TrimPrefix(ev.Detail, "flight-dump: ")
+				continue
+			}
+			kept = append(kept, ev)
+		}
+		if reason != "" {
+			in.dumps++
+			fmt.Fprintf(w, "%s: %d events, flight dump on %q\n", p, len(kept), reason)
+		} else {
+			fmt.Fprintf(w, "%s: %d events\n", p, len(kept))
+		}
+		in.events = append(in.events, kept...)
+	}
+	if in.logs > 1 {
+		obs.SortCausal(in.events)
+	}
+	return in, nil
+}
+
+// evidenceCheck is one -require word and its check. A check returns a
+// one-line account of what it found, or an error naming what is
+// missing.
+type evidenceCheck struct {
+	word  string
+	check func([]obs.Event) (string, error)
+}
+
+// evidence is the closed -require vocabulary.
+var evidence = []evidenceCheck{
+	{"decision", requireDecision},
+	{"quarantine", requireKinds(obs.KindQuarantine)},
+	{"circuit", requireCircuit},
+	{"failover", requireFailover},
+	{"abort", requireKinds(obs.KindSwapAbort, obs.KindQuarantine)},
+	{"lens", requireKinds(obs.KindShadowDecision, obs.KindPaybackRealized)},
+}
+
+func evidenceWords() string {
+	var words []string
+	for _, c := range evidence {
+		words = append(words, c.word)
+	}
+	return strings.Join(words, ", ")
+}
+
+// parseRequire resolves a comma-separated -require list; an unknown
+// word is a usage error.
+func parseRequire(spec string) ([]evidenceCheck, error) {
+	var checks []evidenceCheck
+	for _, w := range strings.Split(spec, ",") {
+		w = strings.TrimSpace(w)
+		if w == "" {
+			continue
+		}
+		i := slices.IndexFunc(evidence, func(c evidenceCheck) bool { return c.word == w })
+		if i < 0 {
+			return nil, fmt.Errorf("-require: unknown word %q (want %s)", w, evidenceWords())
+		}
+		checks = append(checks, evidence[i])
+	}
+	return checks, nil
+}
+
+// requireDecision demands a SwapDecision carrying the policy's payback
+// payload: a verdict plus the payback distance, or a "stay" verdict with
+// its reason (the gate may reject before any payback is computed).
+func requireDecision(evs []obs.Event) (string, error) {
+	decisions, complete := 0, 0
+	for _, ev := range evs {
+		if ev.Kind != obs.KindSwapDecision {
 			continue
 		}
 		decisions++
-		args, _ := e["args"].(map[string]any)
-		if args == nil {
-			continue
-		}
-		_, hasPayback := args["payback"].(float64)
-		verdict, _ := args["verdict"].(string)
-		if verdict == "stay" {
-			// A rejected decision legitimately has no payback (the gate
-			// may fire before the payback is computed); the verdict and
-			// reason alone make it complete.
-			if _, ok := args["reason"].(string); ok {
-				complete++
-			}
-			continue
-		}
-		if hasPayback && verdict != "" {
+		if (ev.Verdict == "stay" && ev.Reason != "") || (ev.Verdict != "" && ev.Payback != 0) {
 			complete++
 		}
 	}
-
-	if !*noDecision {
-		if decisions == 0 {
-			fatal(fmt.Errorf("%s: no SwapDecision events in trace (%d entries)", path, len(entries)))
-		}
-		if complete == 0 {
-			fatal(fmt.Errorf("%s: %d SwapDecision events but none carry payback + verdict", path, decisions))
-		}
+	switch {
+	case decisions == 0:
+		return "", fmt.Errorf("no SwapDecision events (%d events)", len(evs))
+	case complete == 0:
+		return "", fmt.Errorf("%d SwapDecision events but none carry payback + verdict", decisions)
 	}
-
-	quarantines := 0
-	if *chaosCheck {
-		firstOpen, lastClose := math.Inf(1), math.Inf(-1)
-		opens, closes := 0, 0
-		for _, e := range entries {
-			name, _ := e["name"].(string)
-			ts, _ := e["ts"].(float64)
-			args, _ := e["args"].(map[string]any)
-			detail, _ := args["detail"].(string)
-			switch name {
-			case obs.KindQuarantine.String():
-				quarantines++
-			case obs.KindCircuit.String():
-				switch detail {
-				case "open":
-					opens++
-					firstOpen = math.Min(firstOpen, ts)
-				case "close":
-					closes++
-					lastClose = math.Max(lastClose, ts)
-				}
-			}
-		}
-		if quarantines == 0 {
-			fatal(fmt.Errorf("%s: chaos run left no Quarantine event", path))
-		}
-		if opens == 0 || closes == 0 {
-			fatal(fmt.Errorf("%s: circuit transitions open=%d close=%d, want at least one of each", path, opens, closes))
-		}
-		if lastClose < firstOpen {
-			fatal(fmt.Errorf("%s: circuit closed (ts %.0f) only before it first opened (ts %.0f)", path, lastClose, firstOpen))
-		}
-	}
-
-	crashes, recoveries := 0, 0
-	if *failoverCheck {
-		crashes, recoveries = checkFailover(path, entries)
-	}
-
-	fmt.Printf("tracecheck: %s ok — %d entries, %d decisions (%d with full payback payload)", path, len(entries), decisions, complete)
-	if *chaosCheck {
-		fmt.Printf(", %d quarantines + circuit recovery", quarantines)
-	}
-	if *failoverCheck {
-		fmt.Printf(", %d manager crashes + %d recoveries (WAL replay verified)", crashes, recoveries)
-	}
-	fmt.Println()
+	return fmt.Sprintf("%d decisions, %d with full payback payload", decisions, complete), nil
 }
 
-// checkFailover enforces the evidence a manager kill/restart run must
-// leave behind: a crash, a later recovery that replayed the WAL, epoch
-// fencing (decision epochs never step backwards), and a decision after
-// the recovery proving the reborn manager kept serving. It fatals on
-// the first violation and returns (crashes, recoveries) on success.
-func checkFailover(path string, entries []map[string]any) (int, int) {
-	firstCrash := math.Inf(1)
-	walRecover := math.Inf(1)
-	crashes, recoveries := 0, 0
-	type decision struct {
-		ts, epoch float64
+// requireCircuit demands that the decision circuit breaker opened and
+// later closed again.
+func requireCircuit(evs []obs.Event) (string, error) {
+	firstOpen, lastClose := math.Inf(1), math.Inf(-1)
+	opens, closes := 0, 0
+	for _, ev := range evs {
+		if ev.Kind != obs.KindCircuit {
+			continue
+		}
+		switch ev.Detail {
+		case "open":
+			opens++
+			firstOpen = math.Min(firstOpen, ev.T)
+		case "close":
+			closes++
+			lastClose = math.Max(lastClose, ev.T)
+		}
 	}
-	var decisions []decision
-	for _, e := range entries {
-		name, _ := e["name"].(string)
-		ts, _ := e["ts"].(float64)
-		args, _ := e["args"].(map[string]any)
-		detail, _ := args["detail"].(string)
-		switch name {
-		case obs.KindMgrCrash.String():
+	switch {
+	case opens == 0 || closes == 0:
+		return "", fmt.Errorf("circuit transitions open=%d close=%d, want at least one of each", opens, closes)
+	case lastClose < firstOpen:
+		return "", fmt.Errorf("circuit closed (t=%.6g) only before it first opened (t=%.6g)", lastClose, firstOpen)
+	}
+	return fmt.Sprintf("circuit opened %d and closed %d times", opens, closes), nil
+}
+
+// requireFailover demands a manager crash, a later recovery whose WAL
+// replay restored at least one record, and a decision after that
+// recovery proving the reborn manager kept serving.
+func requireFailover(evs []obs.Event) (string, error) {
+	firstCrash, recovered := math.Inf(1), math.Inf(1)
+	crashes, recoveries, post := 0, 0, 0
+	for _, ev := range evs {
+		switch ev.Kind {
+		case obs.KindMgrCrash:
 			crashes++
-			firstCrash = math.Min(firstCrash, ts)
-		case obs.KindMgrRecover.String():
+			firstCrash = math.Min(firstCrash, ev.T)
+		case obs.KindMgrRecover:
 			recoveries++
-			if strings.Contains(detail, "wal-replay") && strings.Contains(detail, "records=") &&
-				!strings.Contains(detail, "records=0 ") && ts >= firstCrash {
-				walRecover = math.Min(walRecover, ts)
+			var records int
+			_, err := fmt.Sscanf(ev.Detail, "wal-replay records=%d", &records)
+			if err == nil && records > 0 && ev.T >= firstCrash && math.IsInf(recovered, 1) {
+				recovered = ev.T
 			}
-		case obs.KindSwapDecision.String():
-			epoch, _ := args["epoch"].(float64) // omitted while zero
-			decisions = append(decisions, decision{ts: ts, epoch: epoch})
+		case obs.KindSwapDecision:
+			if ev.T > recovered {
+				post++
+			}
 		}
 	}
-	if crashes == 0 {
-		fatal(fmt.Errorf("%s: failover run left no MgrCrash event", path))
+	switch {
+	case crashes == 0:
+		return "", fmt.Errorf("no MgrCrash event")
+	case math.IsInf(recovered, 1):
+		return "", fmt.Errorf("no MgrRecover after the crash replayed a non-empty WAL (%d recoveries)", recoveries)
+	case post == 0:
+		return "", fmt.Errorf("no SwapDecision after the WAL-replay recovery at t=%.6g: the reborn manager never served", recovered)
 	}
-	if math.IsInf(walRecover, 1) {
-		fatal(fmt.Errorf("%s: no MgrRecover after the crash carries WAL-replay evidence (%d recoveries total)", path, recoveries))
-	}
-	sort.SliceStable(decisions, func(i, j int) bool { return decisions[i].ts < decisions[j].ts })
-	post := 0
-	for i, d := range decisions {
-		if i > 0 && d.epoch < decisions[i-1].epoch {
-			fatal(fmt.Errorf("%s: decision epoch stepped backwards %g -> %g at ts %.0f — a stale leader escaped the fence",
-				path, decisions[i-1].epoch, d.epoch, d.ts))
-		}
-		if d.ts > walRecover {
-			post++
-		}
-	}
-	if post == 0 {
-		fatal(fmt.Errorf("%s: no SwapDecision after the WAL-replay recovery (ts %.0f) — the reborn manager never served", path, walRecover))
-	}
-	return crashes, recoveries
+	return fmt.Sprintf("%d manager crashes, %d recoveries, %d decisions after the WAL replay", crashes, recoveries, post), nil
 }
 
-// runAnalyze reads a JSONL event log and prints the deterministic
-// offline analysis report.
-func runAnalyze(path string) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		fatal(err)
-	}
-	if err := obs.Analyze(events).WriteReport(os.Stdout); err != nil {
-		fatal(err)
+// requireKinds demands at least one event of any of the given kinds.
+func requireKinds(kinds ...obs.Kind) func([]obs.Event) (string, error) {
+	return func(evs []obs.Event) (string, error) {
+		var found, names []string
+		total := 0
+		for _, k := range kinds {
+			n := count(evs, k)
+			total += n
+			found = append(found, fmt.Sprintf("%d %s", n, k))
+			names = append(names, k.String())
+		}
+		if total == 0 {
+			return "", fmt.Errorf("no %s event", strings.Join(names, " or "))
+		}
+		return strings.Join(found, ", "), nil
 	}
 }
 
-// runAudit reads a JSONL event log, replays the policy-lens contract
-// and prints the deterministic audit report, exiting non-zero when the
-// trace violates it.
-func runAudit(path string, tolerance float64) {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
+// count returns how many events have kind k.
+func count(evs []obs.Event, k obs.Kind) int {
+	n := 0
+	for _, ev := range evs {
+		if ev.Kind == k {
+			n++
+		}
 	}
-	defer f.Close()
-	events, err := obs.ReadJSONL(f)
-	if err != nil {
-		fatal(err)
-	}
-	res := policylens.Audit(events, policylens.AuditConfig{Tolerance: tolerance})
-	if err := res.WriteReport(os.Stdout); err != nil {
-		fatal(err)
-	}
-	if !res.OK() {
-		os.Exit(1)
-	}
+	return n
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracecheck:", err)
-	os.Exit(1)
+// formatEvent renders one timeline line: timestamp, rank, kind, then
+// whichever optional fields the event carries.
+func formatEvent(ev obs.Event) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "[%14.6f] rank %2d %-13s", ev.T, ev.Rank, ev.Kind.String())
+	if ev.Peer != 0 || ev.Kind == obs.KindMsgSend || ev.Kind == obs.KindMsgRecv {
+		fmt.Fprintf(&b, " peer=%d", ev.Peer)
+	}
+	if ev.LC != 0 {
+		fmt.Fprintf(&b, " lc=%d seq=%d", ev.LC, ev.Seq)
+	}
+	if ev.PeerLC != 0 {
+		fmt.Fprintf(&b, " peer_lc=%d", ev.PeerLC)
+	}
+	if ev.Epoch != 0 {
+		fmt.Fprintf(&b, " epoch=%d", ev.Epoch)
+	}
+	if ev.Bytes != 0 {
+		fmt.Fprintf(&b, " bytes=%d", ev.Bytes)
+	}
+	if ev.Detail != "" {
+		fmt.Fprintf(&b, " %q", ev.Detail)
+	}
+	return b.String()
 }

@@ -90,9 +90,9 @@ type swapAttribution struct {
 }
 
 // Analysis is the deterministic offline digest of one event trace: the
-// machinery behind `tracecheck -analyze`. All numbers derive purely from
-// the events (no wall clock, no randomness), so a fixed trace always
-// produces a byte-identical report.
+// report tracecheck prints for every event log. All numbers derive
+// purely from the events (no wall clock, no randomness), so a fixed
+// trace always produces a byte-identical report.
 type Analysis struct {
 	Events int
 	Span   float64 // last event time

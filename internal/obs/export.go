@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/stats"
 )
 
 // WriteJSONL writes every buffered event as one JSON object per line, in
@@ -19,7 +17,7 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 // WriteEventsJSONL writes an explicit event slice in the same
 // one-object-per-line format as WriteJSONL, in the order given. The
 // flight recorder uses it to dump ring snapshots that ReadJSONL (and so
-// tracecheck -postmortem) parse back without a Tracer in the loop.
+// tracecheck) parse back without a Tracer in the loop.
 func WriteEventsJSONL(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
@@ -169,8 +167,8 @@ func eventArgs(ev Event) map[string]any {
 
 // ValidateChromeTrace checks that r holds a loadable trace_event JSON
 // array: every entry carries the required keys (name, ph, ts, pid, tid).
-// It returns the parsed entries for further assertions (cmd/tracecheck
-// and the round-trip test build on it).
+// It returns the parsed entries for further assertions (the round-trip
+// test builds on it); cmd/tracecheck checks Chrome files with it.
 func ValidateChromeTrace(r io.Reader) ([]map[string]any, error) {
 	var entries []map[string]any
 	if err := json.NewDecoder(r).Decode(&entries); err != nil {
@@ -184,66 +182,4 @@ func ValidateChromeTrace(r io.Reader) ([]map[string]any, error) {
 		}
 	}
 	return entries, nil
-}
-
-// Summary folds the buffered events into aggregate statistics: per-kind
-// counts, the decision-latency distribution, iteration times, and the
-// state-transfer cost breakdown the payback algebra predicts.
-type Summary struct {
-	Counts map[string]int // events per kind name
-
-	DecideLatency stats.Accumulator // seconds per SwapDecision (Dur)
-	IterTime      stats.Accumulator // seconds per completed iteration
-	TransferTime  stats.Accumulator // seconds per state transfer
-	TransferBytes stats.Accumulator // bytes per state transfer
-	SendBlock     stats.Accumulator // seconds per MPI send
-
-	// DecideLatencyHist buckets decision latency (0–10 ms, 20 bins): the
-	// paper's leader decisions are expected well under a millisecond.
-	DecideLatencyHist *stats.Histogram
-	Swaps             int // directives across all decisions
-}
-
-// Summarize builds the Summary for the buffered events.
-func (t *Tracer) Summarize() Summary {
-	s := Summary{
-		Counts:            map[string]int{},
-		DecideLatencyHist: stats.NewHistogram(0, 0.010, 20),
-	}
-	for _, ev := range t.Events() {
-		s.Counts[ev.Kind.String()]++
-		switch ev.Kind {
-		case KindSwapDecision:
-			s.DecideLatency.Add(ev.Dur)
-			s.DecideLatencyHist.Add(ev.Dur)
-			s.Swaps += ev.Swaps
-		case KindIterEnd:
-			s.IterTime.Add(ev.Value)
-		case KindStateTransfer:
-			s.TransferTime.Add(ev.Dur)
-			s.TransferBytes.Add(float64(ev.Bytes))
-		case KindMPISend:
-			s.SendBlock.Add(ev.Dur)
-		}
-	}
-	return s
-}
-
-// String renders a compact multi-line summary.
-func (s Summary) String() string {
-	b := fmt.Sprintf("events:")
-	for _, k := range []Kind{KindIterStart, KindIterEnd, KindSwapDecision, KindStateTransfer,
-		KindMPISend, KindMPIRecv, KindMPIBarrier, KindMPICollective, KindManagerAssign, KindHandlerProbe} {
-		if n := s.Counts[k.String()]; n > 0 {
-			b += fmt.Sprintf(" %s=%d", k, n)
-		}
-	}
-	b += fmt.Sprintf("\ndecisions: %s (swaps %d)", s.DecideLatency.String(), s.Swaps)
-	if s.TransferTime.N() > 0 {
-		b += fmt.Sprintf("\ntransfers: %s, bytes %s", s.TransferTime.String(), s.TransferBytes.String())
-	}
-	if s.IterTime.N() > 0 {
-		b += fmt.Sprintf("\niterations: %s", s.IterTime.String())
-	}
-	return b
 }

@@ -9,8 +9,8 @@
 // (swap abort, spare quarantine, rank panic, world close) via
 // obs.Tracer.DumpFlight. Each dump rewrites one JSONL file per rank —
 // flight-rank<N>.jsonl plus flight-runtime.jsonl for runtime-attributed
-// events — in the exact WriteJSONL format, so tracecheck -postmortem
-// (and obs.ReadJSONL) parse them back without any recorder in the loop.
+// events — in the exact WriteJSONL format, so tracecheck (and
+// obs.ReadJSONL) parse them back without any recorder in the loop.
 // A synthetic RuntimeError marker event carrying the dump reason leads
 // every file, which both records why the dump happened and guarantees a
 // rank that observed nothing still produces a parseable file.

@@ -88,8 +88,8 @@ const (
 	// boundary: a crash (process-level kill, injected or real) and the
 	// successor's recovery. The recover event's Detail carries the
 	// WAL-replay evidence ("wal-replay records=N epoch=E ...") that
-	// tracecheck -failover requires; both are appended after the earlier
-	// kinds so the numeric JSONL encoding of existing traces is
+	// tracecheck -require failover demands; both are appended after the
+	// earlier kinds so the numeric JSONL encoding of existing traces is
 	// unchanged.
 	KindMgrCrash
 	KindMgrRecover
@@ -154,8 +154,8 @@ func (k Kind) String() string {
 }
 
 // Event is one timestamped runtime occurrence. T is seconds since trace
-// start — wall seconds in the live runtime, virtual seconds under the
-// simulator. Only the fields a Kind documents are meaningful; the rest
+// start on the run's clock — wall seconds in the live runtime (scaled
+// under swaprun -accel), virtual seconds under the simulator. Only the fields a Kind documents are meaningful; the rest
 // stay zero and are omitted from the JSON encodings.
 type Event struct {
 	Kind Kind    `json:"kind"`

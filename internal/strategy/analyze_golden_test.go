@@ -12,7 +12,7 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
-// TestAnalyzeGolden pins `tracecheck -analyze` end to end: a fixed-seed
+// TestAnalyzeGolden pins tracecheck's analysis report end to end: a fixed-seed
 // simulated Swap run's JSONL trace must analyze to a byte-identical
 // report. The sim runs on a virtual clock, so the trace — and therefore
 // every number in the report — is fully deterministic; any diff here is

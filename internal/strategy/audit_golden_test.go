@@ -10,7 +10,7 @@ import (
 	"repro/internal/swaprt/policylens"
 )
 
-// TestAuditGolden pins `tracecheck -audit` end to end: a fixed-seed
+// TestAuditGolden pins tracecheck's lens-audit section end to end: a fixed-seed
 // simulated Swap run's JSONL trace must replay to a byte-identical
 // policy-lens audit in which every committed swap carries realized
 // payback attribution. A lens attached to the kernel tracer audits the

@@ -213,8 +213,9 @@ func Audit(events []obs.Event, cfg AuditConfig) AuditResult {
 	return res
 }
 
-// WriteReport renders the audit deterministically; tracecheck -audit
-// prints it and exits non-zero when violations exist.
+// WriteReport renders the audit deterministically; tracecheck prints
+// it for every trace that carries lens events and exits non-zero when
+// violations exist.
 func (r AuditResult) WriteReport(w io.Writer) error {
 	pr := func(format string, a ...any) {
 		fmt.Fprintf(w, format+"\n", a...)
